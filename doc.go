@@ -5,8 +5,9 @@
 // schedules.
 //
 // The implementation lives under internal/; see DESIGN.md for the system
-// inventory, EXPERIMENTS.md for the paper-vs-measured evaluation, and
-// examples/ for runnable entry points. The root package carries the
+// inventory, perfbench/README.md for the wall-clock benchmark (a block's
+// life on real threads, end to end and per layer), and examples/ for
+// runnable entry points. The root package carries the
 // repository-level benchmarks (bench_test.go), one per table and figure of
 // the paper.
 //

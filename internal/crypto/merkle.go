@@ -9,6 +9,8 @@ package crypto
 
 import (
 	"crypto/sha256"
+	"runtime"
+	"sync"
 
 	"contractstm/internal/types"
 )
@@ -21,7 +23,7 @@ const (
 	tagEmpty byte = 0x02
 )
 
-// emptyRoot is the Merkle root of an empty leaf list, computed lazily.
+// emptyRoot is the Merkle root of an empty leaf list.
 func emptyRoot() types.Hash {
 	return sha256.Sum256([]byte{tagEmpty})
 }
@@ -30,40 +32,99 @@ func emptyRoot() types.Hash {
 // Odd nodes at each level are promoted unpaired (Bitcoin-style duplication is
 // deliberately avoided: duplication admits known malleability).
 func MerkleRoot(leaves []types.Hash) types.Hash {
-	if len(leaves) == 0 {
+	nodes := make([]types.Hash, len(leaves))
+	for i, leaf := range leaves {
+		nodes[i] = hashLeaf(leaf)
+	}
+	return MerkleReduce(nodes)
+}
+
+// MerkleReduce is the interior pass shared by every root in the repo
+// (transactions, receipts, state): it folds a level of already
+// domain-separated leaf nodes up to the root, in place. nodes is
+// overwritten; callers pass a scratch slice. An empty level has the
+// empty root.
+//
+// Large levels are split across GOMAXPROCS goroutines. The split never
+// changes the root: see reduceSubtrees.
+func MerkleReduce(nodes []types.Hash) types.Hash {
+	if len(nodes) == 0 {
 		return emptyRoot()
 	}
-	level := make([]types.Hash, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = hashLeaf(leaf)
+	if p := runtime.GOMAXPROCS(0); p > 1 && len(nodes) >= parallelMin {
+		nodes = reduceSubtrees(nodes, p)
 	}
-	for len(level) > 1 {
-		next := make([]types.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
+	for len(nodes) > 1 {
+		nodes = reduceLevel(nodes)
+	}
+	return nodes[0]
+}
+
+// parallelMin is the level size from which MerkleReduce splits the
+// interior pass across cores; below it the hand-off costs more than the
+// hashing it spreads.
+const parallelMin = 1 << 12
+
+// reduceSubtrees replaces nodes with the roots of its aligned subtrees,
+// computed by p goroutines, and returns them. Because odd nodes are
+// promoted rather than paired across, the node at level k, index j covers
+// exactly leaves [j·2^k, (j+1)·2^k): an aligned chunk of 2^k leaves folds
+// independently to the node the serial pass computes at level k, and the
+// caller's serial pass finishes the levels above. About four chunks per
+// goroutine keep the shorter last chunk from idling a core.
+func reduceSubtrees(nodes []types.Hash, p int) []types.Hash {
+	chunk := 1
+	for chunk*4*p < len(nodes) {
+		chunk <<= 1
+	}
+	roots := make([]types.Hash, (len(nodes)+chunk-1)/chunk)
+	var wg sync.WaitGroup
+	for w := 0; w < p && w < len(roots); w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for c := w; c < len(roots); c += p {
+				level := nodes[c*chunk : min((c+1)*chunk, len(nodes))]
+				for len(level) > 1 {
+					level = reduceLevel(level)
+				}
+				roots[c] = level[0]
 			}
-		}
-		level = next
+		}(w)
 	}
-	return level[0]
+	wg.Wait()
+	return append(nodes[:0], roots...)
+}
+
+// reduceLevel replaces one tree level with its parent level in the same
+// backing array and returns the parent level. Writes never overtake
+// reads: parent i is written after children 2i and 2i+1 were read.
+func reduceLevel(level []types.Hash) []types.Hash {
+	n := 0
+	for i := 0; i < len(level); i += 2 {
+		if i+1 < len(level) {
+			level[n] = hashNode(level[i], level[i+1])
+		} else {
+			level[n] = level[i]
+		}
+		n++
+	}
+	return level[:n]
 }
 
 func hashLeaf(h types.Hash) types.Hash {
-	buf := make([]byte, 1+types.HashLen)
+	var buf [1 + types.HashLen]byte
 	buf[0] = tagLeaf
 	copy(buf[1:], h[:])
-	return sha256.Sum256(buf)
+	return sha256.Sum256(buf[:])
 }
 
 func hashNode(l, r types.Hash) types.Hash {
-	buf := make([]byte, 1+2*types.HashLen)
+	var buf [1 + 2*types.HashLen]byte
 	buf[0] = tagNode
 	copy(buf[1:], l[:])
 	copy(buf[1+types.HashLen:], r[:])
-	return sha256.Sum256(buf)
+	return sha256.Sum256(buf[:])
 }
 
 // Proof is a Merkle inclusion proof for a single leaf.
@@ -94,15 +155,7 @@ func MerkleProve(leaves []types.Hash, index int) (Proof, bool) {
 			proof.Path = append(proof.Path, level[sib])
 			proof.Right = append(proof.Right, sib > pos)
 		}
-		next := make([]types.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		level = next
+		level = reduceLevel(level)
 		pos /= 2
 	}
 	return proof, true
@@ -128,13 +181,26 @@ type StateEntry struct {
 	Value []byte
 }
 
+// StateLeaf returns the leaf-level Merkle node of one state entry: the
+// domain-separated entry digest H(tagLeaf‖key‖tagNode‖value), hashed again
+// as a tree leaf. Caching these per entry lets a state commitment re-hash
+// only the entries that changed and hand the rest to MerkleReduce as is.
+func StateLeaf(key, value []byte) types.Hash {
+	var stack [128]byte
+	buf := append(stack[:0], tagLeaf)
+	buf = append(buf, key...)
+	buf = append(buf, tagNode)
+	buf = append(buf, value...)
+	return hashLeaf(sha256.Sum256(buf))
+}
+
 // StateRootOf computes a deterministic commitment over canonical entries.
 // Entries MUST already be sorted by key; this package does not sort so that
 // the storage layer controls canonical ordering (and its cost) itself.
 func StateRootOf(entries []StateEntry) types.Hash {
-	leaves := make([]types.Hash, len(entries))
+	nodes := make([]types.Hash, len(entries))
 	for i, e := range entries {
-		leaves[i] = types.HashConcat([]byte{tagLeaf}, e.Key, []byte{tagNode}, e.Value)
+		nodes[i] = StateLeaf(e.Key, e.Value)
 	}
-	return MerkleRoot(leaves)
+	return MerkleReduce(nodes)
 }

@@ -279,3 +279,30 @@ func TestStatusReportsPersistence(t *testing.T) {
 		t.Fatalf("height %d, want 3", st.Height)
 	}
 }
+
+// TestPersistFailureRollsBack is the synchronous persist-failure case:
+// MineOne executes the block and computes its state root, then the WAL
+// write fails. The world must roll back to the durable head — root and
+// commitment cache both — and the block mined next from it must be
+// accepted by a fresh follower. Runs on real threads.
+func TestPersistFailureRollsBack(t *testing.T) {
+	for _, ek := range []engine.Kind{engine.KindSerial, engine.KindOCC} {
+		t.Run(ek.String(), func(t *testing.T) {
+			n, calls := osNode(t, ek, t.TempDir(), 1)
+			n.SubmitAll(calls)
+			if _, err := n.MineOne(recBlockSize); err != nil {
+				t.Fatalf("mine 1: %v", err)
+			}
+			if err := n.log.Close(); err != nil {
+				t.Fatalf("sabotage: %v", err)
+			}
+			if _, err := n.MineOne(recBlockSize); err == nil {
+				t.Fatal("mine over a closed WAL succeeded")
+			}
+			if got := n.Height(); got != 1 {
+				t.Fatalf("height %d after the failed persist, want 1", got)
+			}
+			assertRolledBackWorld(t, ek, n, calls[recBlockSize:2*recBlockSize])
+		})
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
+	"contractstm/internal/miner"
 	"contractstm/internal/persist"
 	"contractstm/internal/runtime"
 	"contractstm/internal/types"
@@ -192,13 +193,73 @@ func TestPipelineCrashRecoveryEveryStage(t *testing.T) {
 	}
 }
 
+// osNode builds a durable node over the deterministic recovery world on
+// real OS threads.
+func osNode(t *testing.T, ek engine.Kind, dataDir string, depth int) (*Node, []contract.Call) {
+	t.Helper()
+	world, calls := recWorld(t)
+	n, err := New(Config{
+		World: world, Workers: 3, Engine: ek,
+		Runner:  runtime.NewOSRunner(nil),
+		DataDir: dataDir, Persist: persist.Options{SnapshotEvery: -1},
+		PipelineDepth: depth,
+	})
+	if err != nil {
+		t.Fatalf("node.New: %v", err)
+	}
+	return n, calls
+}
+
+// assertRolledBackWorld checks a node whose persist stage failed: its
+// world must sit exactly at the durable head — the state root recomputed
+// from the rolled-back commitment cache equals the head's header root —
+// and the block mined next from that world must be accepted by a fresh
+// follower that imported the durable chain. A cache the rollback left
+// stale would seal a root the follower's replay cannot reproduce.
+func assertRolledBackWorld(t *testing.T, ek engine.Kind, n *Node, next []contract.Call) {
+	t.Helper()
+	n.execMu.Lock()
+	defer n.execMu.Unlock()
+	head := n.Head()
+	root, err := n.world.StateRoot()
+	if err != nil {
+		t.Fatalf("rolled-back root: %v", err)
+	}
+	if root != head.Header.StateRoot {
+		t.Fatalf("rolled-back world root %s, durable head %d root %s",
+			root.Short(), head.Header.Number, head.Header.StateRoot.Short())
+	}
+	res, err := miner.Mine(n.eng, n.runner, n.world, head.Header, next, engine.Options{Workers: n.workers})
+	if err != nil {
+		t.Fatalf("mine after rollback: %v", err)
+	}
+	follower, _ := osNode(t, ek, "", 1)
+	for h := uint64(1); h <= head.Header.Number; h++ {
+		b, _ := n.BlockAt(h)
+		if err := follower.AcceptBlock(b); err != nil {
+			t.Fatalf("follower import of durable block %d: %v", h, err)
+		}
+	}
+	if err := follower.AcceptBlock(res.Block); err != nil {
+		t.Fatalf("follower rejected the block mined after rollback: %v", err)
+	}
+}
+
 // TestPipelineAbortRollsBack: a persist failure mid-pipeline voids the
 // sealed-not-durable suffix — the chain rewinds to the durable prefix,
 // the world matches it, the aborted calls come back in arrival order, and
-// the pipeline refuses further mining with the latched error.
+// the pipeline refuses further mining with the latched error. It runs on
+// real threads, and the rolled-back world must still mine a block a fresh
+// follower accepts.
 func TestPipelineAbortRollsBack(t *testing.T) {
+	for _, ek := range []engine.Kind{engine.KindSerial, engine.KindOCC} {
+		t.Run(ek.String(), func(t *testing.T) { testPipelineAbortRollsBack(t, ek) })
+	}
+}
+
+func testPipelineAbortRollsBack(t *testing.T, ek engine.Kind) {
 	dir := t.TempDir()
-	n, calls := pipeNode(t, engine.KindSerial, dir, 3, persist.Options{SnapshotEvery: -1}, nil)
+	n, calls := osNode(t, ek, dir, 3)
 	n.SubmitAll(calls)
 	if _, err := n.MineOne(recBlockSize); err != nil {
 		t.Fatalf("mine 1: %v", err)
@@ -243,6 +304,7 @@ func TestPipelineAbortRollsBack(t *testing.T) {
 	if _, err := n.MineOne(recBlockSize); err == nil {
 		t.Fatal("latched pipeline kept mining")
 	}
+	assertRolledBackWorld(t, ek, n, want[:recBlockSize])
 }
 
 // TestPipelineStatusSealedVsDurable: the status surface distinguishes the

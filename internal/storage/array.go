@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Array is a boosted dynamically-sized array, the translation of a Solidity
@@ -24,6 +26,18 @@ type Array struct {
 
 	mu  sync.Mutex
 	raw []any
+	// commit caches the element leaves as of the last StateRoot; nil
+	// means cold. dirty holds the indices the raw mutators touched since;
+	// it is nil exactly when commit is. See commit.go.
+	commit *arrayCommit
+	dirty  map[int]struct{}
+}
+
+// touch records index i as changed since the last root. Caller holds mu.
+func (a *Array) touch(i int) {
+	if a.dirty != nil {
+		a.dirty[i] = struct{}{}
+	}
 }
 
 // lenLockKey is the reserved key for the length lock. Element keys are
@@ -246,6 +260,7 @@ func (a *Array) rawSet(i int, v any) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if i >= 0 && i < len(a.raw) {
+		a.touch(i)
 		a.raw[i] = v
 	}
 }
@@ -253,6 +268,7 @@ func (a *Array) rawSet(i int, v any) {
 func (a *Array) rawAppend(v any) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.touch(len(a.raw))
 	a.raw = append(a.raw, v)
 }
 
@@ -270,6 +286,7 @@ func (a *Array) rawAdd(i int, delta int64) {
 	if i < 0 || i >= len(a.raw) {
 		return
 	}
+	a.touch(i)
 	cur, _ := a.raw[i].(uint64)
 	a.raw[i] = uint64(int64(cur) + delta)
 }
@@ -280,11 +297,8 @@ func (a *Array) objectName() string { return a.name }
 // stateEntries implements object.
 func (a *Array) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error) {
 	a.mu.Lock()
-	cp := make([]any, len(a.raw))
-	copy(cp, a.raw)
-	a.mu.Unlock()
-
-	for i, v := range cp {
+	defer a.mu.Unlock()
+	for i, v := range a.raw {
 		enc, err := encodeValue(v)
 		if err != nil {
 			return nil, fmt.Errorf("index %d: %w", i, err)
@@ -295,25 +309,97 @@ func (a *Array) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, erro
 	// arrays.
 	dst = append(dst, crypto.StateEntry{
 		Key:   []byte(a.name + "\x00" + lenLockKey),
-		Value: appendUint(0x02, uint64(len(cp))),
+		Value: appendUint(nil, 0x02, uint64(len(a.raw))),
 	})
 	return dst, nil
 }
 
-// snapshot implements object.
-func (a *Array) snapshot() any {
+// appendLeaves implements object: it brings the commitment cache up to
+// date with the dirty indices (every index when cold) and appends the
+// element leaves and the length leaf.
+func (a *Array) appendLeaves(dst []types.Hash, h *leafHasher) ([]types.Hash, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c, n := a.commit, len(a.raw)
+	next := c
+	if c == nil || c.frozen || len(c.leaves) != n {
+		next = &arrayCommit{leaves: make([]types.Hash, n)}
+		if c != nil {
+			copy(next.leaves, c.leaves)
+		}
+	}
+	prefix := a.name + "\x00"
+	rehash := func(i int) error {
+		h.key = binary.BigEndian.AppendUint64(append(h.key[:0], prefix...), uint64(i))
+		leaf, err := h.leaf(a.raw[i])
+		if err != nil {
+			return fmt.Errorf("index %d: %w", i, err)
+		}
+		next.leaves[i] = leaf
+		return nil
+	}
+	if c == nil {
+		for i := range a.raw {
+			if err := rehash(i); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		for i := range a.dirty {
+			if i >= n {
+				continue // truncated away
+			}
+			if err := rehash(i); err != nil {
+				return nil, err
+			}
+		}
+	}
+	a.commit = next
+	if a.dirty == nil {
+		a.dirty = make(map[int]struct{})
+	} else {
+		clear(a.dirty)
+	}
+	h.key = append(append(h.key[:0], prefix...), lenLockKey...)
+	lenLeaf, err := h.leaf(uint64(n))
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, next.leaves...)
+	return append(dst, lenLeaf), nil
+}
+
+// snapshot implements object. It freezes the commitment cache it hands
+// out.
+func (a *Array) snapshot() (any, any) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	cp := make([]any, len(a.raw))
 	copy(cp, a.raw)
-	return cp
+	if a.commit == nil {
+		return cp, nil
+	}
+	a.commit.frozen = true
+	dirty := make([]int, 0, len(a.dirty))
+	for i := range a.dirty {
+		dirty = append(dirty, i)
+	}
+	return cp, arraySnap{commit: a.commit, dirty: dirty}
 }
 
-// restore implements object.
-func (a *Array) restore(snap any) {
-	src := snap.([]any)
+// restore implements object. A nil commit (decoded state) restores cold.
+func (a *Array) restore(content, commit any) {
+	src := content.([]any)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.raw = make([]any, len(src))
 	copy(a.raw, src)
+	a.commit, a.dirty = nil, nil
+	if cs, warm := commit.(arraySnap); warm {
+		a.commit = cs.commit
+		a.dirty = make(map[int]struct{}, len(cs.dirty))
+		for _, i := range cs.dirty {
+			a.dirty[i] = struct{}{}
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Cell is a boosted scalar state variable (a single Solidity field such as
@@ -19,6 +20,11 @@ type Cell struct {
 
 	mu  sync.Mutex
 	raw any
+	// leaf caches the cell's state-tree leaf as of the last StateRoot,
+	// valid when warm; dirty records a raw write since. See commit.go.
+	leaf  types.Hash
+	warm  bool
+	dirty bool
 }
 
 // NewCell creates a boosted cell registered in s under name, holding initial.
@@ -132,12 +138,14 @@ func (c *Cell) rawRead() any {
 func (c *Cell) rawWrite(v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dirty = true
 	c.raw = v
 }
 
 func (c *Cell) rawAdd(delta int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dirty = true
 	cur, _ := c.raw.(uint64)
 	c.raw = uint64(int64(cur) + delta)
 }
@@ -154,8 +162,36 @@ func (c *Cell) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error
 	return append(dst, crypto.StateEntry{Key: []byte(c.name), Value: enc}), nil
 }
 
-// snapshot implements object.
-func (c *Cell) snapshot() any { return c.rawRead() }
+// appendLeaves implements object.
+func (c *Cell) appendLeaves(dst []types.Hash, h *leafHasher) ([]types.Hash, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.warm || c.dirty {
+		h.key = append(h.key[:0], c.name...)
+		leaf, err := h.leaf(c.raw)
+		if err != nil {
+			return nil, err
+		}
+		c.leaf, c.warm, c.dirty = leaf, true, false
+	}
+	return append(dst, c.leaf), nil
+}
 
-// restore implements object.
-func (c *Cell) restore(snap any) { c.rawWrite(snap) }
+// snapshot implements object.
+func (c *Cell) snapshot() (any, any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.warm {
+		return c.raw, nil
+	}
+	return c.raw, cellSnap{leaf: c.leaf, dirty: c.dirty}
+}
+
+// restore implements object. A nil commit (decoded state) restores cold.
+func (c *Cell) restore(content, commit any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.raw = content
+	cs, warm := commit.(cellSnap)
+	c.leaf, c.warm, c.dirty = cs.leaf, warm, cs.dirty
+}

@@ -18,49 +18,42 @@ type Encoder interface {
 // nil, bool, uint64, int (non-negative), string, types.Address, types.Hash,
 // types.Amount, and any Encoder. Each encoding is tagged with a kind byte
 // so values of different types never collide.
-func encodeValue(v any) ([]byte, error) {
+func encodeValue(v any) ([]byte, error) { return appendValue(nil, v) }
+
+// appendValue appends encodeValue's encoding of v to dst.
+func appendValue(dst []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return []byte{0x00}, nil
+		return append(dst, 0x00), nil
 	case bool:
 		if x {
-			return []byte{0x01, 1}, nil
+			return append(dst, 0x01, 1), nil
 		}
-		return []byte{0x01, 0}, nil
+		return append(dst, 0x01, 0), nil
 	case uint64:
-		return appendUint(0x02, x), nil
+		return appendUint(dst, 0x02, x), nil
 	case int:
 		if x < 0 {
 			return nil, fmt.Errorf("storage: negative int value %d not supported", x)
 		}
-		return appendUint(0x03, uint64(x)), nil
+		return appendUint(dst, 0x03, uint64(x)), nil
 	case string:
-		out := make([]byte, 0, 1+len(x))
-		out = append(out, 0x04)
-		return append(out, x...), nil
+		return append(append(dst, 0x04), x...), nil
 	case types.Address:
-		out := make([]byte, 0, 1+types.AddressLen)
-		out = append(out, 0x05)
-		return append(out, x[:]...), nil
+		return append(append(dst, 0x05), x[:]...), nil
 	case types.Hash:
-		out := make([]byte, 0, 1+types.HashLen)
-		out = append(out, 0x06)
-		return append(out, x[:]...), nil
+		return append(append(dst, 0x06), x[:]...), nil
 	case types.Amount:
-		return appendUint(0x07, uint64(x)), nil
+		return appendUint(dst, 0x07, uint64(x)), nil
 	case Encoder:
-		out := []byte{0x08}
-		return append(out, x.EncodeValue()...), nil
+		return append(append(dst, 0x08), x.EncodeValue()...), nil
 	default:
 		return nil, fmt.Errorf("storage: cannot encode value of type %T", v)
 	}
 }
 
-func appendUint(tag byte, x uint64) []byte {
-	var buf [9]byte
-	buf[0] = tag
-	binary.BigEndian.PutUint64(buf[1:], x)
-	return buf[:]
+func appendUint(dst []byte, tag byte, x uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, tag), x)
 }
 
 // Key helpers: boosted map keys are strings; contracts use these to derive

@@ -8,6 +8,7 @@ import (
 
 	"contractstm/internal/crypto"
 	"contractstm/internal/stm"
+	"contractstm/internal/types"
 )
 
 // Map is a boosted hash table: the translation of a Solidity mapping
@@ -28,6 +29,18 @@ type Map struct {
 type rawMap struct {
 	mu sync.Mutex
 	m  map[string]any
+	// commit caches the state-tree leaves as of the last StateRoot; nil
+	// means cold, every key dirty. dirty holds the keys the raw mutators
+	// touched since; it is nil exactly when commit is. See commit.go.
+	commit *mapCommit
+	dirty  map[string]struct{}
+}
+
+// touch records key as changed since the last root. Caller holds mu.
+func (r *rawMap) touch(key string) {
+	if r.dirty != nil {
+		r.dirty[key] = struct{}{}
+	}
 }
 
 // NewMap creates a boosted map registered in s under the given name (which
@@ -283,6 +296,7 @@ func (m *Map) rawGet(key string) (any, bool) {
 func (m *Map) rawPut(key string, v any) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
+	m.raw.touch(key)
 	if n, isUint := v.(uint64); isUint && n == 0 {
 		delete(m.raw.m, key)
 		return
@@ -293,12 +307,14 @@ func (m *Map) rawPut(key string, v any) {
 func (m *Map) rawDelete(key string) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
+	m.raw.touch(key)
 	delete(m.raw.m, key)
 }
 
 func (m *Map) rawAdd(key string, delta int64) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
+	m.raw.touch(key)
 	var cur uint64
 	if v, ok := m.raw.m[key]; ok {
 		cur, _ = v.(uint64)
@@ -324,19 +340,9 @@ func (m *Map) objectName() string { return m.name }
 // stateEntries implements object.
 func (m *Map) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error) {
 	m.raw.mu.Lock()
-	keys := make([]string, 0, len(m.raw.m))
-	for k := range m.raw.m {
-		keys = append(keys, k)
-	}
-	vals := make(map[string]any, len(m.raw.m))
-	for k, v := range m.raw.m {
-		vals[k] = v
-	}
-	m.raw.mu.Unlock()
-
-	sort.Strings(keys)
-	for _, k := range keys {
-		enc, err := encodeValue(vals[k])
+	defer m.raw.mu.Unlock()
+	for _, k := range sortedKeys(m.raw.m) {
+		enc, err := encodeValue(m.raw.m[k])
 		if err != nil {
 			return nil, fmt.Errorf("key %q: %w", k, err)
 		}
@@ -345,26 +351,71 @@ func (m *Map) stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error)
 	return dst, nil
 }
 
-// snapshot implements object.
-func (m *Map) snapshot() any {
+// appendLeaves implements object: it brings the commitment cache up to
+// date with the dirty keys (every key when cold) and appends its leaves.
+func (m *Map) appendLeaves(dst []types.Hash, h *leafHasher) ([]types.Hash, error) {
+	m.raw.mu.Lock()
+	defer m.raw.mu.Unlock()
+	c, dirty := m.raw.commit, sortedKeys(m.raw.dirty)
+	if c == nil {
+		c, dirty = &mapCommit{}, sortedKeys(m.raw.m)
+	}
+	next, err := c.update(m.name+"\x00", dirty, m.raw.m, h)
+	if err != nil {
+		return nil, err
+	}
+	m.raw.commit = next
+	if m.raw.dirty == nil {
+		m.raw.dirty = make(map[string]struct{})
+	} else {
+		clear(m.raw.dirty)
+	}
+	return append(dst, next.leaves...), nil
+}
+
+// snapshot implements object. It freezes the commitment cache it hands
+// out.
+func (m *Map) snapshot() (any, any) {
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
 	cp := make(map[string]any, len(m.raw.m))
 	for k, v := range m.raw.m {
 		cp[k] = v
 	}
-	return cp
+	if m.raw.commit == nil {
+		return cp, nil
+	}
+	m.raw.commit.frozen = true
+	return cp, mapSnap{commit: m.raw.commit, dirty: sortedKeys(m.raw.dirty)}
 }
 
-// restore implements object.
-func (m *Map) restore(snap any) {
-	src := snap.(map[string]any)
+// restore implements object. A nil commit (decoded state) restores cold.
+func (m *Map) restore(content, commit any) {
+	src := content.(map[string]any)
 	m.raw.mu.Lock()
 	defer m.raw.mu.Unlock()
 	m.raw.m = make(map[string]any, len(src))
 	for k, v := range src {
 		m.raw.m[k] = v
 	}
+	m.raw.commit, m.raw.dirty = nil, nil
+	if cs, warm := commit.(mapSnap); warm {
+		m.raw.commit = cs.commit
+		m.raw.dirty = make(map[string]struct{}, len(cs.dirty))
+		for _, k := range cs.dirty {
+			m.raw.dirty[k] = struct{}{}
+		}
+	}
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // itoa is a tiny helper shared with Array for index keys in diagnostics.

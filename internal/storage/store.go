@@ -22,7 +22,8 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"contractstm/internal/crypto"
@@ -50,10 +51,15 @@ type object interface {
 	objectName() string
 	// stateEntries appends canonical (key, value) pairs, sorted by key.
 	stateEntries(dst []crypto.StateEntry) ([]crypto.StateEntry, error)
-	// snapshot returns a deep copy of the raw contents.
-	snapshot() any
-	// restore replaces the raw contents with a snapshot deep copy.
-	restore(snap any)
+	// appendLeaves updates the commitment cache and appends the leaves
+	// of stateEntries' entries, in the same order.
+	appendLeaves(dst []types.Hash, h *leafHasher) ([]types.Hash, error)
+	// snapshot returns a deep copy of the raw contents and the
+	// commitment cache describing them (nil when cold), freezing it.
+	snapshot() (content, commit any)
+	// restore replaces the raw contents with a snapshot deep copy and
+	// reinstates the cache; a nil commit restores cold.
+	restore(content, commit any)
 }
 
 // Store owns a set of boosted objects and provides state commitments and
@@ -62,8 +68,8 @@ type object interface {
 // mining and validation runs of the same block.
 type Store struct {
 	mu      sync.Mutex
-	objects []object
-	byName  map[string]object
+	objects []object // registration order: snapshot positions
+	sorted  []object // name order: state-tree order; replaced, never edited
 	nextID  uint64
 	// noIncrement downgrades increment-mode operations to exclusive; an
 	// ablation switch showing what the paper's Ballot result would look
@@ -74,46 +80,33 @@ type Store struct {
 	// against (§3): locks on memory regions rather than semantic units,
 	// producing false conflicts between commuting operations.
 	coarseLocks bool
+
+	// rootMu serializes StateRoot passes, which own the scratch below.
+	rootMu sync.Mutex
+	nodes  []types.Hash
+	hasher leafHasher
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{byName: make(map[string]object)}
+	return &Store{}
 }
 
 // register adds an object and allocates its overlay id.
 func (s *Store) register(name string, obj object) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.byName[name]; dup {
+	i, dup := slices.BinarySearchFunc(s.sorted, name, func(o object, n string) int {
+		return strings.Compare(o.objectName(), n)
+	})
+	if dup {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
 	id := s.nextID
 	s.nextID++
 	s.objects = append(s.objects, obj)
-	s.byName[name] = obj
+	s.sorted = slices.Insert(slices.Clip(s.sorted), i, obj)
 	return id, nil
-}
-
-// StateRoot computes a deterministic commitment over every object's
-// canonical contents. It must not be called while transactions are in
-// flight.
-func (s *Store) StateRoot() (types.Hash, error) {
-	s.mu.Lock()
-	objs := make([]object, len(s.objects))
-	copy(objs, s.objects)
-	s.mu.Unlock()
-
-	sort.Slice(objs, func(i, j int) bool { return objs[i].objectName() < objs[j].objectName() })
-	var entries []crypto.StateEntry
-	for _, o := range objs {
-		var err error
-		entries, err = o.stateEntries(entries)
-		if err != nil {
-			return types.Hash{}, fmt.Errorf("state entries of %q: %w", o.objectName(), err)
-		}
-	}
-	return crypto.StateRootOf(entries), nil
 }
 
 // Snapshot captures a deep copy of all objects' contents. Values stored in
@@ -121,15 +114,18 @@ func (s *Store) StateRoot() (types.Hash, error) {
 // than mutating in place); under that convention the copy is exact.
 type Snapshot struct {
 	contents []any
+	// commits holds each object's commitment cache at snapshot time (see
+	// commit.go); nil for a decoded snapshot, which restores cold.
+	commits []any
 }
 
 // Snapshot captures the current state.
 func (s *Store) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := Snapshot{contents: make([]any, len(s.objects))}
+	snap := Snapshot{contents: make([]any, len(s.objects)), commits: make([]any, len(s.objects))}
 	for i, o := range s.objects {
-		snap.contents[i] = o.snapshot()
+		snap.contents[i], snap.commits[i] = o.snapshot()
 	}
 	return snap
 }
@@ -141,7 +137,11 @@ func (s *Store) Restore(snap Snapshot) {
 	defer s.mu.Unlock()
 	for i, c := range snap.contents {
 		if i < len(s.objects) {
-			s.objects[i].restore(c)
+			var commit any
+			if snap.commits != nil {
+				commit = snap.commits[i]
+			}
+			s.objects[i].restore(c, commit)
 		}
 	}
 }
@@ -188,10 +188,9 @@ func (s *Store) coarse() bool {
 func (s *Store) Objects() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.byName))
-	for n := range s.byName {
-		names = append(names, n)
+	names := make([]string, len(s.sorted))
+	for i, o := range s.sorted {
+		names[i] = o.objectName()
 	}
-	sort.Strings(names)
 	return names
 }

@@ -56,8 +56,7 @@
 //	curl -s localhost:8547/v1/tx/$ID        # the receipt, once durable
 //	curl -s localhost:8547/v1/head
 //
-// The unversioned routes (/tx, /mine, /status, …) remain as deprecated
-// aliases for one release; see docs/API.md.
+// Every route lives under /v1; see docs/API.md.
 package main
 
 import (

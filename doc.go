@@ -19,9 +19,9 @@
 // paper's benchmark contracts), sched/forkjoin (published schedules and
 // their deterministic replay), engine (pluggable block execution: serial,
 // speculative, OCC), miner/validator (seal and check blocks), chain (hash-
-// linked blocks and their flat wire encoding, with a gob read-compatibility
-// fallback), txpool (mempool and selection
-// policies, including engine-feedback lock-hints), persist (block WAL,
+// linked blocks and their flat wire encoding), txpool (the block
+// selection policies the mempool runs, including engine-feedback
+// lock-hints), persist (block WAL,
 // group-commit writer, state snapshots, crash recovery), pipeline (the
 // staged block-production window: sealed vs durable, back-pressure,
 // abort), node (the assembled node), api (the versioned /v1 client API:

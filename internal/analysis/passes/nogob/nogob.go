@@ -1,17 +1,18 @@
-// Package nogob freezes the set of encoding/gob import sites.
+// Package nogob bans encoding/gob.
 //
-// PR 6 made the flat binary codec the default wire format and demoted
-// gob to a one-release read-compat fallback, confined to five
-// sanctioned files. gob is reflection-driven and its output is not a
-// stable function of the value alone (type registration order leaks
-// into the stream), which is why it was retired from every consensus
-// surface. This pass fails the build for any OTHER file importing
-// encoding/gob, so the planned retirement shrinks the sanctioned list
-// instead of silently growing new dependents.
+// Every block, WAL record, snapshot, genesis marker and mempool save is
+// encoded with the flat codec (internal/codec). gob is reflection-driven
+// and its output is not a stable function of the value alone (type
+// registration order leaks into the stream), so it has no place on any
+// consensus or persistence surface. The one file allowed to import it is
+// the SLO bench's stdlib yardstick (internal/bench/slo.go), which times
+// gob against the flat codec for the ratio gates in
+// bench/slo_thresholds.json.
 package nogob
 
 import (
 	"path/filepath"
+	"strconv"
 
 	"contractstm/internal/analysis"
 )
@@ -19,32 +20,29 @@ import (
 // Analyzer is the nogob pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "nogob",
-	Doc:  "forbid encoding/gob imports outside the sanctioned read-compat fallback files",
+	Doc:  "forbid encoding/gob imports outside the SLO bench's gob yardstick",
 	Run:  run,
 }
 
-// sanctioned maps package-path base -> file base names still allowed to
-// import encoding/gob: the PR 6 fallback surface. Retiring gob means
-// deleting entries here and watching the pass flag the stragglers.
-var sanctioned = map[string]map[string]bool{
-	"types":   {"gob.go": true},
-	"persist": {"pool.go": true, "snapshot.go": true},
-	"chain":   {"codec.go": true},
-	"storage": {"persist.go": true},
-}
+// banned is the import path the pass forbids.
+const banned = `encoding/gob`
+
+// yardstick names the one file allowed to import encoding/gob: package
+// path base and file base name.
+const yardstickPkg, yardstickFile = "bench", "slo.go"
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.SourceFiles() {
 		for _, imp := range f.Imports {
-			if imp.Path.Value != `"encoding/gob"` {
+			if path, _ := strconv.Unquote(imp.Path.Value); path != banned {
 				continue
 			}
 			file := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-			if sanctioned[pass.PkgBase()][file] {
+			if pass.PkgBase() == yardstickPkg && file == yardstickFile {
 				continue
 			}
 			pass.Reportf(imp.Pos(),
-				"new encoding/gob import in %s/%s: gob is a read-compat fallback confined to the sanctioned PR 6 files; encode with internal/codec instead",
+				"encoding/gob import in %s/%s: encode with internal/codec; gob is allowed only in the bench/slo.go yardstick",
 				pass.PkgBase(), file)
 		}
 	}

@@ -1,10 +1,17 @@
-// codec.go is the sanctioned read-compat gob fallback file for package
-// chain: its import must not fire.
+// A gob import outside package bench fires, whatever the file name.
 package chain
 
-import "encoding/gob"
+import (
+	"bytes"
+	"encoding/gob" // want `encoding/gob import in chain/codec.go`
+)
 
-// Frame is the wire frame the fallback decoder registers.
+// Frame is a wire frame.
 type Frame struct{ N int }
 
-func init() { gob.Register(Frame{}) }
+// DecodeFrame decodes a frame the forbidden way.
+func DecodeFrame(b []byte) (Frame, error) {
+	var f Frame
+	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f)
+	return f, err
+}

@@ -1,7 +1,6 @@
 // Package api is the node's versioned HTTP serving layer: the /v1
-// routes (typed wire schema, transaction receipts, event streams), the
-// legacy unversioned aliases kept for one release, and the server
-// middleware — request body limits, per-route timeouts and request
+// routes (typed wire schema, transaction receipts, event streams) and the
+// server middleware — request body limits, per-route timeouts and request
 // metrics.
 //
 // The package is deliberately independent of internal/node: the server
@@ -148,7 +147,7 @@ type Config struct {
 	ErrorLog func(error)
 }
 
-// Server is the node's HTTP API: /v1 plus legacy aliases.
+// Server is the node's HTTP API: the /v1 routes.
 type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
@@ -215,17 +214,6 @@ func NewServer(cfg Config) *Server {
 	s.route("GET /v1/snapshot", s.handleSnapshot, false)
 	s.route("GET /v1/subscribe", s.handleSubscribe, false)
 
-	// Legacy unversioned aliases, kept for one release. Same handlers
-	// (the v1 responses are supersets of the legacy shapes); answers
-	// carry a Deprecation header pointing clients at /v1.
-	s.alias("POST /tx", s.handleTx, true)
-	s.alias("POST /mine", s.handleMine, true)
-	s.alias("POST /blocks", s.handleImportBlock, true)
-	s.alias("GET /blocks/{height}", s.handleGetBlock, false)
-	s.alias("GET /head", s.handleHead, true)
-	s.alias("GET /status", s.handleStatus, true)
-	s.alias("GET /snapshot", s.handleSnapshot, false)
-
 	s.handler = s.mux
 	return s
 }
@@ -238,16 +226,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc, timed bool) {
 		handler = http.TimeoutHandler(handler, s.cfg.Timeout, "request timed out")
 	}
 	s.mux.Handle(pattern, s.measure(pattern, handler))
-}
-
-// alias registers a deprecated unversioned route over the same handler,
-// under the same middleware decision its /v1 twin made.
-func (s *Server) alias(pattern string, h http.HandlerFunc, timed bool) {
-	s.route(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1>; rel="successor-version"`)
-		h(w, r)
-	}, timed)
 }
 
 // statusRecorder captures the response code for error accounting.
@@ -500,7 +478,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleImportBlock is POST /v1/blocks: the validator-node import path.
-// Blocks travel in the chain package's gob wire format, not JSON.
+// Blocks travel in the chain package's flat wire format, not JSON.
 func (s *Server) handleImportBlock(w http.ResponseWriter, r *http.Request) {
 	block, err := chain.DecodeBlock(io.LimitReader(r.Body, chain.MaxWireBlock))
 	if err != nil {
@@ -517,7 +495,7 @@ func (s *Server) handleImportBlock(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, info)
 }
 
-// handleGetBlock is GET /v1/blocks/{height}: gob block bytes, durable
+// handleGetBlock is GET /v1/blocks/{height}: flat block bytes, durable
 // blocks only (the crash rule covers the pull path).
 func (s *Server) handleGetBlock(w http.ResponseWriter, r *http.Request) {
 	height, err := strconv.ParseUint(r.PathValue("height"), 10, 64)

@@ -15,7 +15,7 @@ import (
 // seals blocks from a generated workload and broadcasts each over HTTP to
 // N validating followers, which replay the published schedule before
 // appending. Unlike the single-process sweeps this is wall-clock by
-// nature — the wire, the gob codec and the validator all sit on the
+// nature — the wire, the block codec and the validator all sit on the
 // measured path.
 type ClusterConfig struct {
 	// Kind selects the workload (default Token).

@@ -11,10 +11,9 @@ import (
 	"contractstm/internal/types"
 )
 
-// Flat block encoding: the default wire format for blocks since the flat
-// codec replaced gob (see internal/codec for the stream header and the
-// sniffing rules; DESIGN.md "Wire codec" for the full layout). The body
-// after the 7-byte codec header is:
+// Flat block encoding: the wire format for blocks (see internal/codec for
+// the stream header; DESIGN.md "Wire codec" for the full layout). The
+// body after the 7-byte codec header is:
 //
 //	header    u64 number, 5 × 32-byte hashes (parent, tx, receipt, state,
 //	          schedule roots)
@@ -57,22 +56,10 @@ func AppendBlockWire(dst []byte, b Block) ([]byte, error) {
 }
 
 func appendFlatBody(dst []byte, b Block) ([]byte, error) {
-	dst = appendFlatHeader(dst, b.Header)
-
-	dst = codec.AppendU32(dst, uint32(len(b.Calls)))
-	for _, c := range b.Calls {
-		dst = append(dst, c.Sender[:]...)
-		dst = append(dst, c.Contract[:]...)
-		dst = codec.AppendString(dst, c.Function)
-		dst = codec.AppendU32(dst, uint32(len(c.Args)))
-		var err error
-		for _, a := range c.Args {
-			if dst, err = appendFlatArg(dst, a); err != nil {
-				return nil, err
-			}
-		}
-		dst = codec.AppendU64(dst, uint64(c.Value))
-		dst = codec.AppendU64(dst, uint64(c.GasLimit))
+	dst = AppendHeaderWire(dst, b.Header)
+	dst, err := AppendCallsWire(dst, b.Calls)
+	if err != nil {
+		return nil, err
 	}
 
 	dst = codec.AppendU32(dst, uint32(len(b.Receipts)))
@@ -110,7 +97,10 @@ func appendFlatBody(dst []byte, b Block) ([]byte, error) {
 	return dst, nil
 }
 
-func appendFlatHeader(dst []byte, h Header) []byte {
+// AppendHeaderWire appends h's flat encoding: u64 number, then the five
+// 32-byte hashes. Snapshots and the data directory's genesis marker
+// carry headers in this same layout.
+func AppendHeaderWire(dst []byte, h Header) []byte {
 	dst = codec.AppendU64(dst, h.Number)
 	dst = append(dst, h.ParentHash[:]...)
 	dst = append(dst, h.TxRoot[:]...)
@@ -118,6 +108,29 @@ func appendFlatHeader(dst []byte, h Header) []byte {
 	dst = append(dst, h.StateRoot[:]...)
 	dst = append(dst, h.ScheduleHash[:]...)
 	return dst
+}
+
+// AppendCallsWire appends a u32 call count and each call's flat
+// encoding: 20-byte sender, 20-byte contract, string function, u32 arg
+// count, tagged args, u64 value, u64 gas limit. Blocks and the mempool
+// save file share it.
+func AppendCallsWire(dst []byte, calls []contract.Call) ([]byte, error) {
+	dst = codec.AppendU32(dst, uint32(len(calls)))
+	for _, c := range calls {
+		dst = append(dst, c.Sender[:]...)
+		dst = append(dst, c.Contract[:]...)
+		dst = codec.AppendString(dst, c.Function)
+		dst = codec.AppendU32(dst, uint32(len(c.Args)))
+		var err error
+		for _, a := range c.Args {
+			if dst, err = appendFlatArg(dst, a); err != nil {
+				return nil, err
+			}
+		}
+		dst = codec.AppendU64(dst, uint64(c.Value))
+		dst = codec.AppendU64(dst, uint64(c.GasLimit))
+	}
+	return dst, nil
 }
 
 func appendFlatArg(dst []byte, a any) ([]byte, error) {
@@ -162,29 +175,20 @@ func decodeFlatBlock(payload []byte) (Block, error) {
 func readFlatBody(r *codec.Reader) (Block, error) {
 	var b Block
 	var err error
-	if b.Header, err = readFlatHeader(r); err != nil {
+	if b.Header, err = ReadHeaderWire(r); err != nil {
+		return Block{}, err
+	}
+	if b.Calls, err = ReadCallsWire(r); err != nil {
 		return Block{}, err
 	}
 
 	// Minimum encoded sizes guard element counts against allocation bombs
 	// (see codec.Reader.Count).
 	const (
-		minCall    = types.AddressLen*2 + 4 + 4 + 8 + 8
 		minReceipt = 4 + 1 + 8 + 4
 		minProfile = 4 + 4
 		minEntry   = 4 + 4 + 1 + 8
 	)
-
-	nCalls, err := r.Count(minCall)
-	if err != nil {
-		return Block{}, fmt.Errorf("calls: %w", err)
-	}
-	b.Calls = make([]contract.Call, nCalls)
-	for i := range b.Calls {
-		if err := readFlatCall(r, &b.Calls[i]); err != nil {
-			return Block{}, fmt.Errorf("call %d: %w", i, err)
-		}
-	}
 
 	nReceipts, err := r.Count(minReceipt)
 	if err != nil {
@@ -278,7 +282,8 @@ func readFlatBody(r *codec.Reader) (Block, error) {
 	return b, nil
 }
 
-func readFlatHeader(r *codec.Reader) (Header, error) {
+// ReadHeaderWire reads a header written by AppendHeaderWire.
+func ReadHeaderWire(r *codec.Reader) (Header, error) {
 	var h Header
 	var err error
 	if h.Number, err = r.U64(); err != nil {
@@ -292,6 +297,22 @@ func readFlatHeader(r *codec.Reader) (Header, error) {
 		copy(dst[:], raw)
 	}
 	return h, nil
+}
+
+// ReadCallsWire reads calls written by AppendCallsWire.
+func ReadCallsWire(r *codec.Reader) ([]contract.Call, error) {
+	const minCall = types.AddressLen*2 + 4 + 4 + 8 + 8
+	n, err := r.Count(minCall)
+	if err != nil {
+		return nil, fmt.Errorf("calls: %w", err)
+	}
+	calls := make([]contract.Call, n)
+	for i := range calls {
+		if err := readFlatCall(r, &calls[i]); err != nil {
+			return nil, fmt.Errorf("call %d: %w", i, err)
+		}
+	}
+	return calls, nil
 }
 
 func readFlatCall(r *codec.Reader, c *contract.Call) error {

@@ -16,31 +16,8 @@ func TestFlatIsDefaultWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if !codec.IsFlat(data[0]) {
-		t.Fatalf("MarshalBlock emitted first byte 0x%02x, want flat magic", data[0])
-	}
-}
-
-func TestDecodeGobFallback(t *testing.T) {
-	// A gob-era peer or data dir must still decode for one release.
-	orig := sealSample(5, types.HashString("s"))
-	legacy, err := MarshalBlockGob(orig)
-	if err != nil {
-		t.Fatalf("gob marshal: %v", err)
-	}
-	if codec.IsFlat(legacy[0]) {
-		t.Fatal("gob stream sniffs as flat")
-	}
-	got, err := UnmarshalBlock(legacy)
-	if err != nil {
-		t.Fatalf("unmarshal legacy: %v", err)
-	}
-	if got.Header.Hash() != orig.Header.Hash() {
-		t.Fatal("legacy round trip changed the header hash")
-	}
-	// Args must come back with their concrete types through gob too.
-	if _, ok := got.Calls[0].Args[0].(uint64); !ok {
-		t.Fatalf("legacy arg type %T", got.Calls[0].Args[0])
+	if data[0] != codec.Magic || data[1] != codec.KindBlock {
+		t.Fatalf("MarshalBlock emitted header % x, want flat magic and block kind", data[:2])
 	}
 }
 

@@ -2,10 +2,10 @@ package chain
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/types"
 )
 
@@ -28,15 +28,16 @@ func TestDecodeBlockTruncatedStreams(t *testing.T) {
 }
 
 func TestDecodeBlockWrongWireVersion(t *testing.T) {
-	registerWireTypes()
-	var buf bytes.Buffer
-	wb := wireBlock{Version: wireVersion + 1, Block: sealSample(2, types.HashString("s"))}
-	if err := gob.NewEncoder(&buf).Encode(wb); err != nil {
-		t.Fatalf("encode: %v", err)
+	data, err := MarshalBlock(sealSample(2, types.HashString("s")))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
 	}
-	_, err := UnmarshalBlock(buf.Bytes())
-	if err == nil {
-		t.Fatal("wrong wire version decoded without error")
+	data[2] = codec.Version + 1
+	if _, err := UnmarshalBlock(data); !errors.Is(err, codec.ErrFormat) {
+		t.Fatalf("wrong wire version: got %v, want codec.ErrFormat", err)
+	}
+	if _, err := DecodeBlock(bytes.NewReader(data)); !errors.Is(err, codec.ErrFormat) {
+		t.Fatalf("wrong wire version via DecodeBlock: got %v, want codec.ErrFormat", err)
 	}
 }
 
@@ -130,15 +131,14 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("garbage that is definitely not gob"))
-	withVersion := func(v uint32) []byte {
-		registerWireTypes()
-		var buf bytes.Buffer
-		_ = gob.NewEncoder(&buf).Encode(wireBlock{Version: v})
-		return buf.Bytes()
+	f.Add([]byte("garbage that is definitely not a block"))
+	withVersion := func(v byte) []byte {
+		out := append([]byte(nil), valid...)
+		out[2] = v
+		return out
 	}
 	f.Add(withVersion(0))
-	f.Add(withVersion(^uint32(0)))
+	f.Add(withVersion(0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic and never accept a block whose commitments do
 		// not hold (DecodeBlock verifies them internally, so a nil error

@@ -186,7 +186,7 @@ func TestWireRoundTripAndRejections(t *testing.T) {
 	}
 
 	// Corrupted bytes die at decode with 400.
-	resp, err := http.Post(cl.URL(1)+"/blocks", "application/octet-stream", http.NoBody)
+	resp, err := http.Post(cl.URL(1)+"/v1/blocks", "application/octet-stream", http.NoBody)
 	if err != nil {
 		t.Fatalf("POST empty block: %v", err)
 	}

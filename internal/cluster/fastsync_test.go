@@ -144,7 +144,7 @@ func TestFastSyncFallsBackWithoutEndpoint(t *testing.T) {
 	// An "old" node: the full wire API minus the snapshot endpoint.
 	inner := miner.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/snapshot") || strings.HasPrefix(r.URL.Path, "/v1/snapshot") {
+		if strings.HasPrefix(r.URL.Path, "/v1/snapshot") {
 			http.NotFound(w, r)
 			return
 		}

@@ -1,5 +1,6 @@
 // Package codec provides the flat binary wire format primitives shared by
-// the chain block codec and the persistence snapshot codec: a pooled
+// the chain block codec, the persistence files and the storage snapshot
+// codec: a pooled
 // scratch buffer, little-endian append helpers, a bounds-checked reader,
 // and the common format header (magic, kind, version, body length).
 //
@@ -15,7 +16,8 @@
 // Every flat stream starts with a 7-byte header:
 //
 //	offset 0: Magic (0xF0)
-//	offset 1: kind  (KindBlock, KindSnapshot, KindChain)
+//	offset 1: kind  (KindBlock, KindSnapshot, KindGenesis, KindPool,
+//	          KindState)
 //	offset 2: version (currently 1)
 //	offset 3: uint32 little-endian body length
 //	offset 7: body (exactly body-length bytes)
@@ -23,9 +25,9 @@
 // Magic is chosen from the byte range [0x80, 0xF7] that no gob stream can
 // begin with: gob frames every message with an unsigned varint byte count,
 // whose first byte is either the count itself (0x01..0x7F) or the negated
-// length of the count's big-endian bytes (0xF8..0xFF). Sniffing the first
-// byte of a payload therefore distinguishes flat from legacy gob with
-// zero ambiguity, which is how the one-release read-compat fallback works.
+// length of the count's big-endian bytes (0xF8..0xFF). Bytes written by
+// the gob codec of earlier releases therefore always fail ParseHeader
+// with ErrFormat: they are refused, never misparsed.
 package codec
 
 import (
@@ -44,7 +46,12 @@ const Magic byte = 0xF0
 const (
 	KindBlock    byte = 1
 	KindSnapshot byte = 2
-	KindChain    byte = 3
+	// KindGenesis is a data directory's genesis identity marker.
+	KindGenesis byte = 3
+	// KindPool is the mempool save file.
+	KindPool byte = 4
+	// KindState is a storage snapshot's contents (contract.World state).
+	KindState byte = 5
 )
 
 // Version is the current flat format version, bumped on any layout change.
@@ -61,11 +68,6 @@ var (
 	// unsupported version, or a field value outside its domain.
 	ErrFormat = errors.New("codec: invalid format")
 )
-
-// IsFlat reports whether a payload beginning with first is flat-encoded
-// (as opposed to legacy gob). See the package comment for the sniffing
-// argument.
-func IsFlat(first byte) bool { return first == Magic }
 
 // Buffer is a pooled scratch buffer for single-allocation encodes. Use
 // Get/Release around an encode; the encoded bytes must be copied (or

@@ -65,8 +65,8 @@ func TestReaderBounds(t *testing.T) {
 	}
 }
 
-// TestMagicNeverStartsGob pins the sniffing invariant: no gob stream can
-// begin with the flat magic byte. Gob frames each message with an
+// TestMagicNeverStartsGob pins the refusal invariant: no gob stream can
+// begin with the flat magic byte, so old gob bytes fail ParseHeader. Gob frames each message with an
 // unsigned varint byte count whose first byte is in [0x01,0x7F] or
 // [0xF8,0xFF]; Magic sits in the unreachable middle band.
 func TestMagicNeverStartsGob(t *testing.T) {
@@ -79,8 +79,11 @@ func TestMagicNeverStartsGob(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 			t.Fatalf("gob encode %T: %v", v, err)
 		}
-		if IsFlat(buf.Bytes()[0]) {
+		if buf.Bytes()[0] == Magic {
 			t.Fatalf("gob stream for %T begins with the flat magic byte", v)
+		}
+		if _, err := ParseHeader(buf.Bytes(), KindBlock); !errors.Is(err, ErrFormat) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("gob stream for %T: ParseHeader = %v, want a refusal", v, err)
 		}
 	}
 }

@@ -23,6 +23,7 @@
 package contracts
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"contractstm/internal/contract"
@@ -54,6 +55,20 @@ func (v Voter) EncodeValue() []byte {
 	}
 	out = append(out, v.Delegate[:]...)
 	return append(out, types.Uint64Bytes(v.Vote)...)
+}
+
+// decodeVoter inverts Voter.EncodeValue (registered with storage in
+// setup.go).
+func decodeVoter(b []byte) (Voter, error) {
+	if len(b) != 8+1+types.AddressLen+8 {
+		return Voter{}, fmt.Errorf("voter record is %d bytes", len(b))
+	}
+	return Voter{
+		Weight:   binary.BigEndian.Uint64(b),
+		Voted:    b[8] == 1,
+		Delegate: types.Address(b[9 : 9+types.AddressLen]),
+		Vote:     binary.BigEndian.Uint64(b[9+types.AddressLen:]),
+	}, nil
 }
 
 // Ballot is the voting-with-delegation contract from the Solidity

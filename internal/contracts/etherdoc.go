@@ -1,6 +1,8 @@
 package contracts
 
 import (
+	"fmt"
+
 	"contractstm/internal/contract"
 	"contractstm/internal/storage"
 	"contractstm/internal/types"
@@ -25,6 +27,15 @@ func (d DocMeta) EncodeValue() []byte {
 		out = append(out, 0)
 	}
 	return out
+}
+
+// decodeDocMeta inverts DocMeta.EncodeValue (registered with storage in
+// setup.go).
+func decodeDocMeta(b []byte) (DocMeta, error) {
+	if len(b) != types.AddressLen+1 {
+		return DocMeta{}, fmt.Errorf("document record is %d bytes", len(b))
+	}
+	return DocMeta{Owner: types.Address(b[:types.AddressLen]), Exists: b[types.AddressLen] == 1}, nil
 }
 
 // EtherDoc is the "proof of existence" DAPP from the paper's third

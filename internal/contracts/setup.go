@@ -9,12 +9,12 @@ import (
 	"contractstm/internal/types"
 )
 
-// The struct types this package stores in boosted objects must be
-// registered for state-snapshot serialization (the persistence layer
-// gob-encodes stored values as interface contents).
+// The struct types this package stores in boosted objects register their
+// decoders for state-snapshot serialization: a snapshot carries each
+// struct value as its type name plus its EncodeValue bytes.
 func init() {
-	storage.RegisterValueType(Voter{})
-	storage.RegisterValueType(DocMeta{})
+	storage.RegisterValueType("contracts.Voter", decodeVoter)
+	storage.RegisterValueType("contracts.DocMeta", decodeDocMeta)
 }
 
 // setupExec is a minimal stm.Executor for constructor/genesis effects:

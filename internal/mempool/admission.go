@@ -18,14 +18,14 @@ import (
 )
 
 // Config tunes the pool. The zero value of every limit is permissive
-// (no cap) so a trusted-only deployment behaves like the single-lock
-// pool; real limits are set by nodesrv flags and bench configs.
+// (no cap), so a trusted-only deployment never sheds; real limits are
+// set by nodesrv flags and bench configs.
 type Config struct {
 	// Shards is the lock-stripe count (default 16). 1 degenerates to a
 	// single-lock pool — the bench sweep compares exactly that.
 	Shards int
 	// WindowFactor bounds the selection window (window = factor *
-	// blockSize), matching txpool's scan depth (default 4).
+	// blockSize; default 4).
 	WindowFactor int
 	// PerSenderSlots caps queued transactions per sender; at the cap a
 	// strictly-higher-priority submission replaces the sender's worst

@@ -1,11 +1,9 @@
 // Package mempool is the sharded, admission-controlled transaction
-// pool that fronts the miner under open ingest. It replaces
-// txpool.Pool on the node's intake side while preserving the selection
-// contract the miner and pipeline depend on: SelectBatch/RequeueBatch
-// merge by a global arrival sequence, all three selection policies
-// (fifo, spread, lockhint) pick from the same window scans as the
-// single-lock pool (txpool.SelectWindow), and a requeued batch lands
-// back at exactly its original arrival position.
+// pool that fronts the miner. It keeps the selection contract the miner
+// and pipeline depend on: SelectBatch/RequeueBatch merge by a global
+// arrival sequence, all three selection policies (fifo, spread,
+// lockhint) run the window scans of txpool.SelectWindow, and a requeued
+// batch lands back at exactly its original arrival position.
 //
 // Layout: pending transactions are sharded by sender-address hash (an
 // FNV-1a of the address bytes — deterministic across runs, so a replayed
@@ -231,8 +229,7 @@ func (p *Pool) SubmitTrusted(call contract.Call) {
 
 // SubmitAllTrusted enqueues calls in order, atomically with respect to
 // selection: all shard locks are held while the batch lands, so a
-// concurrent SelectBatch can never observe a prefix of the batch —
-// the same guarantee txpool.SubmitAll gives under its single lock.
+// concurrent SelectBatch can never observe a prefix of the batch.
 func (p *Pool) SubmitAllTrusted(calls []contract.Call) {
 	p.lockAll()
 	defer p.unlockAll()
@@ -255,9 +252,8 @@ func (p *Pool) unlockAll() {
 }
 
 // Selection is a selected batch plus the bookkeeping to return it to
-// its original arrival position, mirroring txpool.Selection for the
-// sharded pool. Entries retain their seq, priority and accounting
-// identity, so RequeueBatch restores them exactly.
+// its original arrival position. Entries retain their seq, priority and
+// accounting identity, so RequeueBatch restores them exactly.
 type Selection struct {
 	Calls   []contract.Call
 	entries []*entry
@@ -268,9 +264,7 @@ func (s Selection) Len() int { return len(s.Calls) }
 
 // SelectBatch removes and returns up to blockSize transactions under
 // the policy, merging all shards into one (priority desc, seq asc)
-// window — the exact window order a single-lock pool with the same
-// entries would scan — and running the shared txpool window scan over
-// it. Returns txpool.ErrEmpty when nothing is queued anywhere.
+// window and running the txpool window scan over it. Returns txpool.ErrEmpty when nothing is queued anywhere.
 func (p *Pool) SelectBatch(policy txpool.Policy, blockSize int) (Selection, error) {
 	if blockSize <= 0 {
 		return Selection{}, errors.New("mempool: non-positive block size")
@@ -405,16 +399,18 @@ func (p *Pool) PendingCalls() []contract.Call {
 	return out
 }
 
-// ReportConflicts feeds back retried transactions from a mined block
-// (see txpool.Pool.ReportConflicts).
+// ReportConflicts feeds back transactions that needed speculative
+// retries in a mined block (engine RetriedTxs); subsequent spread
+// selections cap their (contract, function) groups.
 func (p *Pool) ReportConflicts(calls []contract.Call) {
 	p.scoreMu.Lock()
 	defer p.scoreMu.Unlock()
 	p.scores.AddConflicts(calls)
 }
 
-// ReportConflictPairs feeds back conflict pairs from a mined block
-// (see txpool.Pool.ReportConflictPairs).
+// ReportConflictPairs feeds back pairs of calls connected by a
+// happens-before edge in a mined block (engine.Stats.ConflictPairs);
+// PolicyLockHint reads the lock-hints they share.
 func (p *Pool) ReportConflictPairs(pairs [][2]contract.Call) {
 	p.scoreMu.Lock()
 	defer p.scoreMu.Unlock()

@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,45 +25,126 @@ func testCall(sender, nonce uint64) contract.Call {
 	}
 }
 
-// TestTrustedSelectionParity drains the same submissions through the
-// sharded pool and the single-lock txpool under every policy and
-// requires identical block sequences: the sharded merge plus the shared
-// window scan must reproduce the single-lock selection exactly.
-func TestTrustedSelectionParity(t *testing.T) {
-	for _, policy := range []txpool.Policy{txpool.PolicyFIFO, txpool.PolicySpread, txpool.PolicyLockHint} {
-		t.Run(policy.String(), func(t *testing.T) {
-			mp := New(Config{Shards: 8})
-			tp := txpool.New()
-			var calls []contract.Call
-			for i := 0; i < 100; i++ {
-				calls = append(calls, testCall(uint64(i%17), uint64(i)))
-			}
-			for _, c := range calls {
-				mp.SubmitTrusted(c)
-				tp.Submit(c)
-			}
-			// The same conflict feedback on both sides, so the score-driven
-			// policies defer the same function groups.
-			mp.ReportConflicts(calls[:10])
-			tp.ReportConflicts(calls[:10])
+// richCall builds calls whose senders repeat every 5 and arguments every
+// 7, across two contracts and two functions, so the spread and lock-hint
+// policies have collisions to defer.
+func richCall(i int) contract.Call {
+	fn := "transfer"
+	if i%3 == 0 {
+		fn = "approve"
+	}
+	return contract.Call{
+		Sender:   types.AddressFromUint64(0xA000 + uint64(i%5)),
+		Contract: types.AddressFromUint64(0xC0DE + uint64(i%2)),
+		Function: fn,
+		Args:     []any{types.AddressFromUint64(0x7000 + uint64(i%7)), uint64(i)},
+		GasLimit: 100_000,
+	}
+}
 
-			for block := 0; ; block++ {
-				ms, merr := mp.SelectBatch(policy, 16)
-				ts, terr := tp.SelectBatch(policy, 16)
-				if (merr == nil) != (terr == nil) {
-					t.Fatalf("block %d: mempool err %v, txpool err %v", block, merr, terr)
-				}
-				if merr != nil {
-					break
-				}
-				if !reflect.DeepEqual(ms.Calls, ts.Calls) {
-					t.Fatalf("block %d: selections diverge\nmempool: %v\ntxpool:  %v", block, ms.Calls, ts.Calls)
-				}
+// inOrder returns n submissions cut into blocks of size in arrival order.
+func inOrder(n, size int) [][]int {
+	var blocks [][]int
+	for i := 0; i < n; i += size {
+		var b []int
+		for j := i; j < n && j < i+size; j++ {
+			b = append(b, j)
+		}
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+// TestTrustedSelectionParity drains fixed submissions through the sharded
+// pool under every policy and requires the block sequences (indices into
+// the submissions) that the single-lock reference pool selected for the
+// same submissions and feedback. The sharded merge plus the shared window
+// scan must keep reproducing that selection exactly.
+func TestTrustedSelectionParity(t *testing.T) {
+	cases := []struct {
+		name  string
+		call  func(i int) contract.Call
+		pairs [][2]int // conflict pairs reported besides calls[:10]
+		want  map[txpool.Policy][][]int
+	}{{
+		// 17 senders and one function: no policy finds a collision, so
+		// every policy selects arrival order.
+		call: func(i int) contract.Call { return testCall(uint64(i%17), uint64(i)) },
+		want: map[txpool.Policy][][]int{
+			txpool.PolicyFIFO:     inOrder(100, 16),
+			txpool.PolicySpread:   inOrder(100, 16),
+			txpool.PolicyLockHint: inOrder(100, 16),
+		},
+	}, {
+		name:  "colliding",
+		call:  richCall,
+		pairs: [][2]int{{0, 5}, {1, 8}, {2, 9}},
+		want: map[txpool.Policy][][]int{
+			txpool.PolicyFIFO: inOrder(100, 16),
+			txpool.PolicySpread: {
+				{0, 1, 2, 3, 4, 5, 6, 9, 7, 8, 10, 11, 12, 13, 14, 15},
+				{16, 17, 18, 19, 20, 21, 24, 33, 22, 23, 25, 26, 27, 28, 29, 30},
+				{31, 32, 34, 35, 36, 39, 48, 57, 37, 38, 40, 41, 42, 43, 44, 45},
+				{46, 47, 49, 50, 51, 54, 63, 72, 52, 53, 55, 56, 58, 59, 60, 61},
+				{62, 64, 65, 66, 67, 69, 78, 81, 68, 70, 71, 73, 74, 75, 76, 77},
+				{79, 80, 82, 83, 84, 87, 96, 85, 86, 88, 89, 90, 91, 92, 93, 94},
+				{95, 97, 98, 99},
+			},
+			txpool.PolicyLockHint: {
+				{0, 1, 2, 3, 4, 5, 6, 9, 7, 8, 10, 11, 12, 13, 14, 15},
+				{16, 17, 18, 19, 20, 21, 24, 27, 22, 23, 25, 26, 28, 29, 30, 31},
+				{32, 33, 34, 35, 36, 37, 39, 42, 38, 40, 41, 43, 44, 45, 46, 47},
+				{48, 49, 50, 51, 52, 53, 54, 57, 55, 56, 58, 59, 60, 61, 62, 63},
+				{64, 65, 66, 67, 68, 69, 72, 75, 70, 71, 73, 74, 76, 77, 78, 79},
+				{80, 81, 82, 83, 84, 85, 87, 90, 86, 88, 89, 91, 92, 93, 94, 95},
+				{96, 97, 98, 99},
+			},
+		},
+	}}
+	for _, tc := range cases {
+		for _, policy := range []txpool.Policy{txpool.PolicyFIFO, txpool.PolicySpread, txpool.PolicyLockHint} {
+			name := policy.String()
+			if tc.name != "" {
+				name = tc.name + "/" + name
 			}
-			if mp.Len() != 0 {
-				t.Fatalf("mempool not drained: %d left", mp.Len())
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				mp := New(Config{Shards: 8})
+				var calls []contract.Call
+				for i := 0; i < 100; i++ {
+					calls = append(calls, tc.call(i))
+				}
+				for _, c := range calls {
+					mp.SubmitTrusted(c)
+				}
+				mp.ReportConflicts(calls[:10])
+				var pairs [][2]contract.Call
+				for _, p := range tc.pairs {
+					pairs = append(pairs, [2]contract.Call{calls[p[0]], calls[p[1]]})
+				}
+				mp.ReportConflictPairs(pairs)
+
+				var got [][]int
+				for {
+					sel, err := mp.SelectBatch(policy, 16)
+					if err != nil {
+						break
+					}
+					var block []int
+					for _, c := range sel.Calls {
+						block = append(block, slices.IndexFunc(calls, func(o contract.Call) bool {
+							return reflect.DeepEqual(c, o)
+						}))
+					}
+					got = append(got, block)
+				}
+				if want := tc.want[policy]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("block sequence diverges from the golden selection\ngot:  %v\nwant: %v", got, want)
+				}
+				if mp.Len() != 0 {
+					t.Fatalf("mempool not drained: %d left", mp.Len())
+				}
+			})
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"contractstm/internal/runtime"
 	"contractstm/internal/stm"
 	"contractstm/internal/types"
+	"contractstm/internal/workload"
 )
 
 // sdkFor serves n over httptest and returns a /v1 SDK client for it.
@@ -366,67 +367,96 @@ func TestV1Subscribe(t *testing.T) {
 	}
 }
 
-// TestV1LegacyAliases: the unversioned routes answer exactly like their
-// /v1 counterparts and carry the deprecation headers.
+// TestV1LegacyAliases: the unversioned routes are gone — each answers
+// 404 while its /v1 twin serves — and repeated /v1 reads answer
+// byte-identically.
 func TestV1LegacyAliases(t *testing.T) {
 	w, holders := newTokenWorld(t, 3)
 	n := newTestNode(t, w)
 	url := httpNode(t, n)
 
-	// Submit + mine through the legacy routes.
 	body, _ := json.Marshal(transferTx(holders[0], holders[1], 2))
-	resp, err := http.Post(url+"/tx", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("legacy tx: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy tx status = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	var sub wire.TxSubmitted
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatalf("legacy tx decode: %v", err)
-	}
-	if sub.ID == "" || sub.PoolLen != 1 {
-		t.Fatalf("legacy tx response = %+v (want v1 shape with legacy poolLen)", sub)
+	for _, path := range []string{"/tx", "/v1/tx"} {
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		want := http.StatusAccepted
+		if path == "/tx" {
+			want = http.StatusNotFound
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s status = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 	if _, err := n.MineOne(10); err != nil {
 		t.Fatalf("mine: %v", err)
 	}
 
-	// Legacy and /v1 GET routes answer byte-identically.
-	for _, path := range []string{"/head", "/status", "/blocks/1", "/snapshot"} {
-		legacy, err := http.Get(url + path)
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-		v1, err := http.Get(url + "/v1" + path)
-		if err != nil {
-			t.Fatalf("GET /v1%s: %v", path, err)
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	for _, path := range []string{"/head", "/status", "/blocks/1", "/snapshot"} {
+		if code, _ := get(path); code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", path, code)
 		}
-		v1Body, _ := io.ReadAll(v1.Body)
-		v1.Body.Close()
-		if legacy.StatusCode != v1.StatusCode {
-			t.Fatalf("%s: legacy %d vs v1 %d", path, legacy.StatusCode, v1.StatusCode)
+		code, first := get("/v1" + path)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1%s = %d, want 200", path, code)
 		}
 		// The status payload embeds live API request counters, which the
-		// probes themselves advance, and a non-durable node re-encodes
-		// its snapshot per request (gob map order is unstable) — status
-		// codes and headers are the contract for those two.
-		if path == "/status" || path == "/snapshot" {
+		// probes themselves advance.
+		if path == "/status" {
 			continue
 		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Fatalf("%s: legacy and v1 bodies differ:\n%s\nvs\n%s", path, legacyBody, v1Body)
+		// A non-durable node re-encodes its snapshot per request; the
+		// state encoding is canonical, so the bytes repeat.
+		if _, again := get("/v1" + path); !bytes.Equal(first, again) {
+			t.Fatalf("/v1%s: repeated reads differ", path)
 		}
-		if legacy.Header.Get("Deprecation") != "true" || v1.Header.Get("Deprecation") == "true" {
-			t.Fatalf("%s: deprecation headers wrong", path)
+	}
+}
+
+// TestV1SnapshotCanonical: two independently built nodes at the same
+// height serve byte-identical /v1/snapshot bodies. The state encoding
+// writes objects in registration order and map keys in sorted order, so
+// equal state means equal bytes. The Mixed workload stores every value
+// kind, including Ballot's Voter and EtherDoc's DocMeta records.
+func TestV1SnapshotCanonical(t *testing.T) {
+	params := workload.Params{Kind: workload.KindMixed, Transactions: 60, ConflictPercent: 15, Seed: 4}
+	var bodies [][]byte
+	for i := 0; i < 2; i++ {
+		wl, err := workload.Generate(params)
+		if err != nil {
+			t.Fatalf("generate: %v", err)
 		}
+		n := newTestNode(t, wl.World)
+		n.SubmitAll(wl.Calls)
+		if _, err := n.MineOne(len(wl.Calls)); err != nil {
+			t.Fatalf("node %d: mine: %v", i, err)
+		}
+		resp, err := http.Get(httpNode(t, n) + "/v1/snapshot")
+		if err != nil {
+			t.Fatalf("node %d: GET /v1/snapshot: %v", i, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d: GET /v1/snapshot = %d, %v", i, resp.StatusCode, err)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("nodes at the same height serve different snapshot bytes (%d vs %d bytes)",
+			len(bodies[0]), len(bodies[1]))
 	}
 }
 

@@ -1,8 +1,17 @@
 package node
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
 	"contractstm/internal/persist"
@@ -304,5 +313,56 @@ func TestPersistFailureRollsBack(t *testing.T) {
 			}
 			assertRolledBackWorld(t, ek, n, calls[recBlockSize:2*recBlockSize])
 		})
+	}
+}
+
+// TestGobEraDataDirRefused: a data directory written by a gob-era
+// release — genesis marker and genesis snapshot both gob-encoded behind
+// the usual length+CRC frame — makes node.New fail with
+// persist.ErrLegacyDataDir, naming the directory, and leaves every file
+// as it was.
+func TestGobEraDataDirRefused(t *testing.T) {
+	dir := t.TempDir()
+	world, _ := recWorld(t)
+	root, err := world.StateRoot()
+	if err != nil {
+		t.Fatalf("state root: %v", err)
+	}
+	state, err := world.EncodeState()
+	if err != nil {
+		t.Fatalf("encode state: %v", err)
+	}
+	genesis := chain.GenesisHeader(root)
+	writeGobFrame := func(name string, v any) []byte {
+		t.Helper()
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+			t.Fatalf("gob encode %s: %v", name, err)
+		}
+		framed := make([]byte, 8, 8+payload.Len())
+		binary.BigEndian.PutUint32(framed[0:4], uint32(payload.Len()))
+		binary.BigEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload.Bytes()))
+		framed = append(framed, payload.Bytes()...)
+		if err := os.WriteFile(filepath.Join(dir, name), framed, 0o644); err != nil {
+			t.Fatalf("write %s: %v", name, err)
+		}
+		return framed
+	}
+	marker := writeGobFrame("genesis.id", genesis)
+	writeGobFrame("snap-0000000000000000.snap", struct {
+		Version uint32
+		Header  chain.Header
+		State   []byte
+	}{1, genesis, state})
+
+	_, err = New(Config{World: world, Workers: 3, Runner: runtime.NewSimRunner(), DataDir: dir})
+	if !errors.Is(err, persist.ErrLegacyDataDir) {
+		t.Fatalf("node.New on a gob-era dir: %v, want persist.ErrLegacyDataDir", err)
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name the directory", err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "genesis.id")); !bytes.Equal(got, marker) {
+		t.Fatal("refused data dir's genesis marker was rewritten")
 	}
 }

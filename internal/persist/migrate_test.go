@@ -2,100 +2,66 @@ package persist
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"contractstm/internal/chain"
 	"contractstm/internal/codec"
+	"contractstm/internal/types"
 )
 
-// writeGobEraDataDir fabricates a data directory exactly as the previous
-// (gob-codec) release would have left it: a WAL segment of gob-framed
-// blocks and, optionally, a gob snapshot file.
-func writeGobEraDataDir(t *testing.T, dir string, blocks []chain.Block, snap *Snapshot) {
-	t.Helper()
-	f, err := os.Create(filepath.Join(dir, segmentName(blocks[0].Header.Number)))
-	if err != nil {
-		t.Fatalf("create segment: %v", err)
+// TestGobSnapshotRefused: a snapshot in the gob envelope of earlier
+// releases — what a gob-era fast-sync peer would serve — passes the
+// frame check but fails DecodeSnapshot with codec.ErrFormat, instead of
+// being misparsed.
+func TestGobSnapshotRefused(t *testing.T) {
+	_, snaps := makeBlocks(t, 1, 2)
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(struct {
+		Version uint32
+		Header  chain.Header
+		State   []byte
+	}{1, snaps[0].Header, snaps[0].State}); err != nil {
+		t.Fatalf("gob encode: %v", err)
 	}
-	for _, b := range blocks {
-		payload, err := chain.MarshalBlockGob(b)
-		if err != nil {
-			t.Fatalf("gob marshal %d: %v", b.Header.Number, err)
-		}
-		if err := writeFrame(f, payload); err != nil {
-			t.Fatalf("write frame: %v", err)
-		}
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, payload.Bytes()); err != nil {
+		t.Fatalf("frame: %v", err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close segment: %v", err)
-	}
-	if snap != nil {
-		sf, err := os.Create(filepath.Join(dir, snapshotName(snap.Height())))
-		if err != nil {
-			t.Fatalf("create snapshot: %v", err)
-		}
-		if err := encodeSnapshotGob(sf, *snap); err != nil {
-			t.Fatalf("gob snapshot: %v", err)
-		}
-		if err := sf.Close(); err != nil {
-			t.Fatalf("close snapshot: %v", err)
-		}
+	if _, err := DecodeSnapshot(&wire); !errors.Is(err, codec.ErrFormat) {
+		t.Fatalf("gob snapshot: got %v, want codec.ErrFormat", err)
 	}
 }
 
-// TestGobEraDataDirRecovers is the migration guarantee: a data directory
-// written entirely by the previous release's gob codec must open, replay
-// to the same head hash, and keep working — new appends land in the flat
-// format in the same segment, and the next recovery replays the mixed
-// gob-then-flat WAL transparently.
-func TestGobEraDataDirRecovers(t *testing.T) {
-	blocks, snaps := makeBlocks(t, 4, 3)
+// TestGobGenesisMarkerRefused: a genesis marker in gob form — the
+// identity file every gob-era data directory holds — makes EnsureGenesis
+// fail with ErrLegacyDataDir, naming the directory.
+func TestGobGenesisMarkerRefused(t *testing.T) {
 	dir := t.TempDir()
-	writeGobEraDataDir(t, dir, blocks[:3], &snaps[0])
-
-	l, got := openReplay(t, dir, Options{}, snaps[0].Height()+1)
-	if len(got) != 2 {
-		t.Fatalf("replayed %d blocks above the snapshot, want 2", len(got))
+	h := chain.GenesisHeader(types.HashString("legacy"))
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(h); err != nil {
+		t.Fatalf("gob encode: %v", err)
 	}
-	if got[len(got)-1].Header.Hash() != blocks[2].Header.Hash() {
-		t.Fatal("gob-era WAL replayed to a different head hash")
+	var marker bytes.Buffer
+	if err := writeFrame(&marker, payload.Bytes()); err != nil {
+		t.Fatalf("frame: %v", err)
 	}
-	latest := l.LatestSnapshot()
-	if latest == nil || latest.Header.Hash() != snaps[0].Header.Hash() {
-		t.Fatal("gob-era snapshot not adopted")
+	if err := os.WriteFile(filepath.Join(dir, genesisFile), marker.Bytes(), 0o644); err != nil {
+		t.Fatalf("write marker: %v", err)
 	}
-	if !bytes.Equal(latest.State, snaps[0].State) {
-		t.Fatal("gob-era snapshot state changed across decode")
-	}
-
-	// Continue the chain: the new append is flat-encoded into the same
-	// segment the gob frames live in.
-	if err := l.Append(blocks[3]); err != nil {
-		t.Fatalf("append after migration: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	seg, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	l, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("read segment: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	if codec.IsFlat(seg[frameHeaderLen]) {
-		t.Fatal("first (gob-era) frame should not sniff as flat")
-	}
-
-	l2, got := openReplay(t, dir, Options{}, 1)
-	defer l2.Close()
-	if len(got) != len(blocks) {
-		t.Fatalf("mixed-codec WAL replayed %d blocks, want %d", len(got), len(blocks))
-	}
-	for i, b := range got {
-		if b.Header.Hash() != blocks[i].Header.Hash() {
-			t.Fatalf("block %d hash mismatch after mixed-codec replay", i+1)
-		}
+	defer l.Close()
+	err = l.EnsureGenesis(h)
+	if !errors.Is(err, ErrLegacyDataDir) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("gob marker: got %v, want ErrLegacyDataDir naming %s", err, dir)
 	}
 }
 
@@ -108,8 +74,8 @@ func TestSnapshotFlatDefault(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 	payload := buf.Bytes()[frameHeaderLen:]
-	if !codec.IsFlat(payload[0]) {
-		t.Fatalf("snapshot payload first byte 0x%02x, want flat magic", payload[0])
+	if payload[0] != codec.Magic || payload[1] != codec.KindSnapshot {
+		t.Fatalf("snapshot payload header % x, want flat magic and snapshot kind", payload[:2])
 	}
 	got, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {

@@ -8,13 +8,13 @@
 //	                 of the segment's first record
 //	snap-%016d.snap  state snapshots (block header + encoded world state),
 //	                 written atomically via temp-file + rename
-//	pool.gob         pending mempool calls saved on graceful shutdown
+//	pool.bin         pending mempool calls saved on graceful shutdown
 //	genesis.id       permanent genesis identity marker (never pruned)
 //	LOCK             advisory flock held for the Log's lifetime; a second
 //	                 opener fails fast with ErrLocked instead of corrupting
 //	                 the WAL
 //
-// Every WAL record is one gob wire block behind a length+CRC32 frame;
+// Every WAL record is one flat wire block behind a length+CRC32 frame;
 // every snapshot file is one frame. Integrity is layered: the frame CRC
 // catches torn or bit-rotted writes, the block codec re-verifies header
 // commitments, and recovery replays each block through the engine-hosted

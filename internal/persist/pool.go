@@ -1,14 +1,13 @@
 package persist
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"contractstm/internal/chain"
+	"contractstm/internal/codec"
 	"contractstm/internal/contract"
-	"contractstm/internal/types"
 )
 
 // Mempool persistence: a graceful shutdown saves the still-pending calls
@@ -17,16 +16,13 @@ import (
 // consumed on recovery — loading deletes it — so a later crash can never
 // resurrect calls that were already mined in between.
 
-// poolFile is the mempool save file name inside a data directory.
-const poolFile = "pool.gob"
+// poolFile is the mempool save file name inside a data directory: one
+// frame holding a flat pool stream whose body is chain.AppendCallsWire.
+const poolFile = "pool.bin"
 
 // maxPoolBytes bounds the pool file read (a pool is bounded by client
 // traffic, not block size; 256 MB is far beyond any sane backlog).
 const maxPoolBytes = 256 << 20
-
-// registerPoolTypes registers the call-argument types (the shared wire
-// value set) for gob round-tripping of []contract.Call.
-func registerPoolTypes() { types.RegisterWireValues() }
 
 // SavePool atomically writes the pending calls to the data directory.
 // An empty slice removes any existing save (nothing pending).
@@ -38,37 +34,22 @@ func (l *Log) SavePool(calls []contract.Call) error {
 		}
 		return nil
 	}
-	registerPoolTypes()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(calls); err != nil {
+	dst, start := codec.AppendHeader(nil, codec.KindPool)
+	dst, err := chain.AppendCallsWire(dst, calls)
+	if err != nil {
 		return fmt.Errorf("persist: encode pool: %w", err)
 	}
+	codec.FinishHeader(dst, start)
 	// Enforce the read-side cap at write time: a save TakePool could
 	// never read back would brick every restart until the operator
 	// deletes the file by hand. Refusing here loses only the pool, never
 	// the chain.
-	if buf.Len() > maxPoolBytes {
+	if len(dst) > maxPoolBytes {
 		return fmt.Errorf("persist: pool encodes to %d bytes, max %d: refusing to save an unloadable file",
-			buf.Len(), maxPoolBytes)
+			len(dst), maxPoolBytes)
 	}
-	tmp, err := os.CreateTemp(l.dir, "pool-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: pool temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeFrame(tmp, buf.Bytes()); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: write pool: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: pool sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: pool close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: pool rename: %w", err)
+	if err := writeFileAtomic(l.dir, poolFile, "pool-*.tmp", framed(dst)); err != nil {
+		return fmt.Errorf("persist: pool: %w", err)
 	}
 	l.syncDir()
 	return nil
@@ -79,7 +60,6 @@ func (l *Log) SavePool(calls []contract.Call) error {
 // file returns (nil, nil); a damaged file is an error (clients' calls
 // should not vanish silently).
 func (l *Log) TakePool() ([]contract.Call, error) {
-	registerPoolTypes()
 	path := filepath.Join(l.dir, poolFile)
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -93,12 +73,25 @@ func (l *Log) TakePool() ([]contract.Call, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: read pool: %w", err)
 	}
-	var calls []contract.Call
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&calls); err != nil {
+	calls, err := decodePool(payload)
+	if err != nil {
 		return nil, fmt.Errorf("persist: decode pool: %w", err)
 	}
 	if err := os.Remove(path); err != nil {
 		return nil, fmt.Errorf("persist: consume pool: %w", err)
 	}
 	return calls, nil
+}
+
+func decodePool(payload []byte) ([]contract.Call, error) {
+	body, err := codec.ParseHeader(payload, codec.KindPool)
+	if err != nil {
+		return nil, err
+	}
+	r := codec.NewReader(body)
+	calls, err := chain.ReadCallsWire(r)
+	if err != nil {
+		return nil, err
+	}
+	return calls, r.Done()
 }

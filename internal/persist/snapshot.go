@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/codec"
-	"contractstm/internal/types"
 )
 
 // Snapshot is one durable state checkpoint: the block header at the
@@ -30,10 +28,6 @@ type Snapshot struct {
 // Height returns the checkpoint height.
 func (s Snapshot) Height() uint64 { return s.Header.Number }
 
-// snapshotVersion guards against decoding legacy gob snapshots from
-// incompatible builds.
-const snapshotVersion uint32 = 1
-
 // MaxSnapshotBytes bounds one snapshot's framed payload.
 const MaxSnapshotBytes = 1 << 30
 
@@ -43,19 +37,12 @@ const MaxSnapshotBytes = 1 << 30
 // torn.
 const MaxSnapshotWire = MaxSnapshotBytes + frameHeaderLen
 
-// wireSnapshot is the legacy gob envelope, decoded for one release so
-// gob-era snapshot files and fast-sync peers stay readable.
-type wireSnapshot struct {
-	Version uint32
-	Header  chain.Header
-	State   []byte
-}
-
 // EncodeSnapshot writes s to w as a single framed record (the same
 // length+CRC frame as WAL records). The payload is the flat codec's
-// snapshot stream: codec header, then the block header's flat fields,
-// then the length-prefixed opaque state bytes (the storage layer's own
-// encoding, which the envelope never interprets).
+// snapshot stream: codec header, then the block header
+// (chain.AppendHeaderWire), then the length-prefixed state bytes (the
+// storage layer's own flat encoding, which the envelope never
+// interprets).
 func EncodeSnapshot(w io.Writer, s Snapshot) error {
 	buf := codec.GetBuffer()
 	defer buf.Release()
@@ -73,40 +60,23 @@ func EncodeSnapshot(w io.Writer, s Snapshot) error {
 }
 
 func appendSnapshotBody(dst []byte, s Snapshot) []byte {
-	h := s.Header
-	dst = codec.AppendU64(dst, h.Number)
-	dst = append(dst, h.ParentHash[:]...)
-	dst = append(dst, h.TxRoot[:]...)
-	dst = append(dst, h.ReceiptRoot[:]...)
-	dst = append(dst, h.StateRoot[:]...)
-	dst = append(dst, h.ScheduleHash[:]...)
-	return codec.AppendBytes(dst, s.State)
+	return codec.AppendBytes(chain.AppendHeaderWire(dst, s.Header), s.State)
 }
 
 // DecodeSnapshot reads one framed snapshot from r, verifying the frame
-// CRC and parsing the payload — flat by default, legacy gob when the
-// first payload byte says so. Input is untrusted (disk bytes, or a
-// fast-sync peer).
+// CRC and parsing the flat payload. Input is untrusted (disk bytes, or a
+// fast-sync peer); a payload in any other format fails with
+// codec.ErrFormat.
 func DecodeSnapshot(r io.Reader) (Snapshot, error) {
 	payload, err := readFrame(r, MaxSnapshotBytes)
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	if codec.IsFlat(payload[0]) {
-		s, err := decodeFlatSnapshot(payload)
-		if err != nil {
-			return Snapshot{}, fmt.Errorf("persist: decode snapshot: %w", err)
-		}
-		return s, nil
-	}
-	var ws wireSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ws); err != nil {
+	s, err := decodeFlatSnapshot(payload)
+	if err != nil {
 		return Snapshot{}, fmt.Errorf("persist: decode snapshot: %w", err)
 	}
-	if ws.Version != snapshotVersion {
-		return Snapshot{}, fmt.Errorf("persist: snapshot version %d, want %d", ws.Version, snapshotVersion)
-	}
-	return Snapshot{Header: ws.Header, State: ws.State}, nil
+	return s, nil
 }
 
 func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
@@ -116,18 +86,8 @@ func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
 	}
 	r := codec.NewReader(body)
 	var s Snapshot
-	if s.Header.Number, err = r.U64(); err != nil {
+	if s.Header, err = chain.ReadHeaderWire(r); err != nil {
 		return Snapshot{}, err
-	}
-	for _, dst := range []*types.Hash{
-		&s.Header.ParentHash, &s.Header.TxRoot, &s.Header.ReceiptRoot,
-		&s.Header.StateRoot, &s.Header.ScheduleHash,
-	} {
-		raw, err := r.Take(types.HashLen)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		copy(dst[:], raw)
 	}
 	if s.State, err = r.Bytes(); err != nil {
 		return Snapshot{}, err
@@ -136,18 +96,6 @@ func decodeFlatSnapshot(payload []byte) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	return s, nil
-}
-
-// encodeSnapshotGob writes s in the legacy gob wire format; retained for
-// migration tests that fabricate gob-era data directories.
-func encodeSnapshotGob(w io.Writer, s Snapshot) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireSnapshot{
-		Version: snapshotVersion, Header: s.Header, State: s.State,
-	}); err != nil {
-		return fmt.Errorf("persist: encode snapshot %d: %w", s.Height(), err)
-	}
-	return writeFrame(w, buf.Bytes())
 }
 
 func snapshotName(height uint64) string { return fmt.Sprintf("snap-%016d.snap", height) }
@@ -163,52 +111,94 @@ const genesisFile = "genesis.id"
 // genesis than the one now opening it.
 var ErrForeignGenesis = errors.New("persist: data dir belongs to a different genesis")
 
+// ErrLegacyDataDir reports a data directory whose genesis marker is an
+// intact record in a format other than the flat codec — one written by a
+// gob-era release. Its snapshots and WAL are in that format too, so
+// nothing in it is readable; the directory must be re-created or
+// re-synced from a peer.
+var ErrLegacyDataDir = errors.New("persist: data dir predates the flat codec")
+
 // EnsureGenesis records h as the directory's genesis on first open and
-// verifies it on every later one.
+// verifies it on every later one. It is the one place a node refuses a
+// data directory written by an older release: the marker is the first
+// file recovery reads, so no snapshot or WAL record of such a directory
+// is ever decoded.
 func (l *Log) EnsureGenesis(h chain.Header) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	path := filepath.Join(l.dir, genesisFile)
 	if data, err := os.ReadFile(path); err == nil {
-		var have chain.Header
-		if payload, err := readFrame(bytes.NewReader(data), 1<<16); err == nil {
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&have); err == nil {
-				if have == h {
-					return nil
-				}
-				return fmt.Errorf("%w: %s holds genesis %s, world has %s",
-					ErrForeignGenesis, l.dir, have.Hash().Short(), h.Hash().Short())
-			}
+		payload, err := readFrame(bytes.NewReader(data), 1<<16)
+		if err != nil {
+			// An unreadable identity must not silently become a fresh one.
+			return fmt.Errorf("%w: unreadable %s", ErrForeignGenesis, path)
 		}
-		// The marker exists but does not decode: refuse to guess — an
-		// unreadable identity must not silently become a fresh one.
-		return fmt.Errorf("%w: unreadable %s", ErrForeignGenesis, path)
+		have, err := decodeGenesisMarker(payload)
+		if err != nil {
+			return fmt.Errorf("%w: %s (%v): re-create the directory or re-sync it from a peer",
+				ErrLegacyDataDir, l.dir, err)
+		}
+		if have != h {
+			return fmt.Errorf("%w: %s holds genesis %s, world has %s",
+				ErrForeignGenesis, l.dir, have.Hash().Short(), h.Hash().Short())
+		}
+		return nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return fmt.Errorf("persist: encode genesis marker: %w", err)
-	}
-	tmp, err := os.CreateTemp(l.dir, "genesis-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: genesis marker temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := writeFrame(tmp, buf.Bytes()); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: write genesis marker: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: sync genesis marker: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: close genesis marker: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: rename genesis marker: %w", err)
+	dst, start := codec.AppendHeader(nil, codec.KindGenesis)
+	dst = chain.AppendHeaderWire(dst, h)
+	codec.FinishHeader(dst, start)
+	if err := writeFileAtomic(l.dir, genesisFile, "genesis-*.tmp", framed(dst)); err != nil {
+		return fmt.Errorf("persist: genesis marker: %w", err)
 	}
 	l.syncDir()
 	return nil
+}
+
+func decodeGenesisMarker(payload []byte) (chain.Header, error) {
+	body, err := codec.ParseHeader(payload, codec.KindGenesis)
+	if err != nil {
+		return chain.Header{}, err
+	}
+	r := codec.NewReader(body)
+	h, err := chain.ReadHeaderWire(r)
+	if err != nil {
+		return chain.Header{}, err
+	}
+	return h, r.Done()
+}
+
+// writeFileAtomic writes data to dir/name via a temp file (named by
+// tmpPattern) in the same directory, fsync and rename: a crash leaves
+// either the old file or the new one, never a torn one. The caller syncs
+// the directory.
+func writeFileAtomic(dir, name, tmpPattern string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, tmpPattern)
+	if err != nil {
+		return fmt.Errorf("temp: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("write: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		return fmt.Errorf("sync: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("close: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("rename: %w", err)
+	}
+	return nil
+}
+
+// framed returns payload behind its length+CRC frame.
+func framed(payload []byte) []byte {
+	var buf bytes.Buffer
+	_ = writeFrame(&buf, payload) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
 }
 
 // listSnapshots returns snapshot file heights, ascending.
@@ -373,24 +363,8 @@ func (l *Log) writeSnapshotFile(s Snapshot) error {
 	if err := EncodeSnapshot(&wire, s); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(l.dir, "snap-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: snapshot temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(wire.Bytes()); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: write snapshot %d: %w", s.Height(), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("persist: snapshot sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(l.dir, snapshotName(s.Height()))); err != nil {
-		return fmt.Errorf("persist: snapshot rename: %w", err)
+	if err := writeFileAtomic(l.dir, snapshotName(s.Height()), "snap-*.tmp", wire.Bytes()); err != nil {
+		return fmt.Errorf("persist: snapshot %d: %w", s.Height(), err)
 	}
 	l.latestWire = wire.Bytes()
 	l.syncDir()

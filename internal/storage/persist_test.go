@@ -1,16 +1,49 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"contractstm/internal/codec"
 	"contractstm/internal/types"
 )
+
+// record is a registered Encoder struct, like the contracts' Voter.
+type record struct {
+	N    uint64
+	Flag bool
+}
+
+func (r record) EncodeValue() []byte {
+	out := binary.BigEndian.AppendUint64(nil, r.N)
+	if r.Flag {
+		return append(out, 1)
+	}
+	return append(out, 0)
+}
+
+// unregistered is an Encoder struct nobody registered a decoder for.
+type unregistered struct{}
+
+func (unregistered) EncodeValue() []byte { return nil }
+
+func init() {
+	RegisterValueType("storage.record", func(b []byte) (record, error) {
+		if len(b) != 9 {
+			return record{}, fmt.Errorf("record is %d bytes", len(b))
+		}
+		return record{N: binary.BigEndian.Uint64(b), Flag: b[8] != 0}, nil
+	})
+}
 
 // buildStore assembles a store with one of each object kind and some
 // contents, bypassing the transactional layer (raw accessors are exact
 // for quiescent state).
-func buildStore(t *testing.T) (*Store, *Map, *Cell) {
+func buildStore(t testing.TB) (*Store, *Map, *Cell) {
 	t.Helper()
 	s := NewStore()
 	m, err := NewMap(s, "t/map")
@@ -28,6 +61,11 @@ func buildStore(t *testing.T) (*Store, *Map, *Cell) {
 	m.rawPut("balance", uint64(41))
 	m.rawPut("owner", types.AddressFromUint64(9))
 	m.rawPut("label", "hello")
+	m.rawPut("record", record{N: 3, Flag: true})
+	m.rawPut("count", 12)
+	m.rawPut("root", types.HashString("r"))
+	m.rawPut("price", types.Amount(5))
+	m.rawPut("done", false)
 	a.mu.Lock()
 	a.raw = append(a.raw, uint64(7), nil, "x")
 	a.mu.Unlock()
@@ -105,4 +143,57 @@ func TestSnapshotDecodeRejectsGarbage(t *testing.T) {
 	if _, err := s.DecodeSnapshot(nil); err == nil {
 		t.Fatal("empty input decoded")
 	}
+}
+
+// TestSnapshotEncodeRejectsUnregisteredType: a struct value whose type
+// registered no decoder could never be restored, so encoding refuses it.
+func TestSnapshotEncodeRejectsUnregisteredType(t *testing.T) {
+	s, m, _ := buildStore(t)
+	m.rawPut("stray", unregistered{})
+	if _, err := s.EncodeSnapshot(s.Snapshot()); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("encode with an unregistered value type: %v", err)
+	}
+}
+
+// TestSnapshotDecodeRefusesGob: state bytes from a gob-era release fail
+// with codec.ErrFormat rather than being misparsed.
+func TestSnapshotDecodeRefusesGob(t *testing.T) {
+	s, _, _ := buildStore(t)
+	gobLike := []byte{0x0c, 0xff, 0x81, 0x02, 0x01, 0x02, 0xff, 0x82, 0x00, 0x01, 0xff, 0x80}
+	if _, err := s.DecodeSnapshot(gobLike); !errors.Is(err, codec.ErrFormat) {
+		t.Fatalf("gob bytes: got %v, want codec.ErrFormat", err)
+	}
+}
+
+// FuzzStoreSnapshot: storage snapshot bytes reach a node from fast-sync
+// peers, so decoding arbitrary input must never panic, and every input
+// it accepts must re-encode to exactly the same bytes.
+func FuzzStoreSnapshot(f *testing.F) {
+	src, m, c := buildStore(f)
+	full, err := src.EncodeSnapshot(src.Snapshot())
+	if err != nil {
+		f.Fatalf("encode: %v", err)
+	}
+	f.Add(full)
+	m.rawDelete("record")
+	c.rawWrite(types.AddressFromUint64(4))
+	if alt, err := src.EncodeSnapshot(src.Snapshot()); err == nil {
+		f.Add(alt)
+	}
+	f.Add(full[:len(full)/2])
+	f.Add([]byte{codec.Magic, codec.KindState, codec.Version, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dst, _, _ := buildStore(t)
+		snap, err := dst.DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		re, err := dst.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatalf("decoded snapshot failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("re-encode differs:\n in: %x\nout: %x", data, re)
+		}
+	})
 }

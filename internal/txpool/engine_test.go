@@ -1,4 +1,4 @@
-package txpool
+package txpool_test
 
 // Engine-parameterized selection: pool policies must compose with every
 // execution engine — blocks assembled under either policy mine and
@@ -14,6 +14,7 @@ import (
 	"contractstm/internal/engine"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
+	"contractstm/internal/txpool"
 	"contractstm/internal/types"
 	"contractstm/internal/validator"
 	"contractstm/internal/workload"
@@ -21,7 +22,7 @@ import (
 
 func TestSelectionPoliciesUnderAllEngines(t *testing.T) {
 	for _, ek := range engine.Kinds() {
-		for _, policy := range []Policy{PolicyFIFO, PolicySpread} {
+		for _, policy := range []txpool.Policy{txpool.PolicyFIFO, txpool.PolicySpread} {
 			ek, policy := ek, policy
 			t.Run(ek.String()+"/"+policy.String(), func(t *testing.T) {
 				wl, err := workload.Generate(workload.Params{
@@ -30,8 +31,8 @@ func TestSelectionPoliciesUnderAllEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("generate: %v", err)
 				}
-				pool := New()
-				pool.SubmitAll(wl.Calls)
+				pool := newPool()
+				pool.SubmitAllTrusted(wl.Calls)
 				eng := engine.MustNew(ek)
 				parent := chain.GenesisHeader(types.HashString("txpool-engines"))
 

@@ -1,4 +1,4 @@
-package txpool
+package txpool_test
 
 import (
 	"errors"
@@ -7,8 +7,10 @@ import (
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
 	"contractstm/internal/engine"
+	"contractstm/internal/mempool"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
+	"contractstm/internal/txpool"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
 )
@@ -19,28 +21,27 @@ import (
 // the aborts land in, and without letting calls submitted after a
 // selection slip ahead of it.
 func TestPipelineRequeueBatchOrdering(t *testing.T) {
-	pool := New()
+	pool := newPool()
 	for i := uint64(0); i < 4; i++ { // a0..a3
-		pool.Submit(call(i, 1, "f"))
+		pool.SubmitTrusted(call(i, 1, "f"))
 	}
-	selA, err := pool.SelectBatch(PolicyFIFO, 4)
+	selA, err := pool.SelectBatch(txpool.PolicyFIFO, 4)
 	if err != nil {
 		t.Fatalf("select A: %v", err)
 	}
-	pool.Submit(call(50, 1, "f")) // x arrives while block A executes
-	pool.Submit(call(51, 1, "f")) // y
-	selB, err := pool.SelectBatch(PolicyFIFO, 2) // block B takes x, y
+	pool.SubmitTrusted(call(50, 1, "f"))                // x arrives while block A executes
+	pool.SubmitTrusted(call(51, 1, "f"))                // y
+	selB, err := pool.SelectBatch(txpool.PolicyFIFO, 2) // block B takes x, y
 	if err != nil {
 		t.Fatalf("select B: %v", err)
 	}
-	pool.Submit(call(60, 1, "f")) // z arrives while both are in flight
+	pool.SubmitTrusted(call(60, 1, "f")) // z arrives while both are in flight
 
-	// The pipeline aborts: block B's requeue lands BEFORE block A's (the
-	// interleaving legacy Requeue got wrong — it would leave B ahead of A).
+	// The pipeline aborts: block B's requeue lands BEFORE block A's.
 	pool.RequeueBatch(selB)
 	pool.RequeueBatch(selA)
 
-	drained, err := pool.Select(PolicyFIFO, 7)
+	drained, err := pool.Select(txpool.PolicyFIFO, 7)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -53,70 +54,9 @@ func TestPipelineRequeueBatchOrdering(t *testing.T) {
 			t.Fatalf("position %d: got %s, want sender %d", i, drained[i].Sender, w)
 		}
 	}
-	pool.RequeueBatch(Selection{}) // no-op
+	pool.RequeueBatch(mempool.Selection{}) // no-op
 	if pool.Len() != 0 {
 		t.Fatalf("empty requeue changed len to %d", pool.Len())
-	}
-}
-
-// TestPipelineRequeueAfterLegacyRequeue: the legacy front-requeue and the
-// seq-merging batch requeue must compose — a legacy entry jumps ahead of
-// everything queued *or in flight* at requeue time (it takes sequence
-// numbers below both the queue minimum and any selected batch's seqs),
-// so a batch merged back afterwards lands behind it, intact — never
-// interleaved through it.
-func TestPipelineRequeueAfterLegacyRequeue(t *testing.T) {
-	pool := New()
-	for i := uint64(0); i < 3; i++ {
-		pool.Submit(call(i, 1, "f"))
-	}
-	sel, err := pool.SelectBatch(PolicyFIFO, 2) // takes 0, 1
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	pool.Requeue([]contract.Call{call(90, 1, "f")}) // legacy: jumps the queue
-	pool.RequeueBatch(sel)
-	drained, err := pool.Select(PolicyFIFO, 4)
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	want := []uint64{90, 0, 1, 2}
-	for i, w := range want {
-		if drained[i].Sender != types.AddressFromUint64(w) {
-			t.Fatalf("position %d: got %s, want sender %d", i, drained[i].Sender, w)
-		}
-	}
-}
-
-// TestPipelineRequeueNeverSplitsBatch: repeated legacy requeues while a
-// selection is in flight must not mint sequence numbers colliding with
-// the batch's — a batch merged back later stays contiguous instead of
-// having legacy entries interleaved through its middle.
-func TestPipelineRequeueNeverSplitsBatch(t *testing.T) {
-	pool := New()
-	for i := uint64(0); i < 3; i++ {
-		pool.Submit(call(i, 1, "f")) // queue: 0, 1, 2
-	}
-	sel, err := pool.SelectBatch(PolicyFIFO, 2) // in flight: seqs 0, 1
-	if err != nil {
-		t.Fatalf("select: %v", err)
-	}
-	pool.Requeue([]contract.Call{call(80, 1, "f")}) // would collide at seq 1 pre-fix
-	pool.Requeue([]contract.Call{call(81, 1, "f")}) // ...and at seq 0
-	pool.RequeueBatch(sel)
-	drained, err := pool.Select(PolicyFIFO, 5)
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	want := []uint64{81, 80, 0, 1, 2} // batch contiguous, legacy jumpers ahead
-	for i, w := range want {
-		if drained[i].Sender != types.AddressFromUint64(w) {
-			got := make([]string, len(drained))
-			for j, c := range drained {
-				got[j] = c.Sender.Short()
-			}
-			t.Fatalf("position %d: drained %v, want senders %v", i, got, want)
-		}
 	}
 }
 
@@ -131,19 +71,19 @@ func hotCall(sender, target, arg uint64) contract.Call {
 // sender hint is reported, the policy keeps two calls with that hot
 // sender out of one block — while calls on unscored hints flow freely.
 func TestLockHintDefersSharedHotHints(t *testing.T) {
-	pool := New()
+	pool := newPool()
 	hot := uint64(7)
 	// Feedback: two calls from the hot sender conflicted in a past block.
 	pool.ReportConflictPairs([][2]contract.Call{
 		{hotCall(hot, 1, 100), hotCall(hot, 1, 101)},
 	})
 
-	pool.Submit(hotCall(hot, 1, 200))
-	pool.Submit(hotCall(hot, 1, 201)) // same hot sender: must be deferred
-	pool.Submit(hotCall(8, 1, 202))
-	pool.Submit(hotCall(9, 1, 203))
+	pool.SubmitTrusted(hotCall(hot, 1, 200))
+	pool.SubmitTrusted(hotCall(hot, 1, 201)) // same hot sender: must be deferred
+	pool.SubmitTrusted(hotCall(8, 1, 202))
+	pool.SubmitTrusted(hotCall(9, 1, 203))
 
-	sel, err := pool.SelectBatch(PolicyLockHint, 3)
+	sel, err := pool.SelectBatch(txpool.PolicyLockHint, 3)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
@@ -169,30 +109,16 @@ func TestLockHintDefersSharedHotHints(t *testing.T) {
 // lock-hint policy is plain FIFO — hot hints need evidence before they
 // cost anyone anything.
 func TestLockHintUnscoredHintsNeverThrottle(t *testing.T) {
-	pool := New()
+	pool := newPool()
 	for i := 0; i < 4; i++ {
-		pool.Submit(hotCall(7, 1, uint64(200+i))) // same sender four times
+		pool.SubmitTrusted(hotCall(7, 1, uint64(200+i))) // same sender four times
 	}
-	sel, err := pool.SelectBatch(PolicyLockHint, 4)
+	sel, err := pool.SelectBatch(txpool.PolicyLockHint, 4)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
 	if len(sel.Calls) != 4 {
 		t.Fatalf("selected %d, want 4 (no feedback, no throttling)", len(sel.Calls))
-	}
-}
-
-// TestLockHintScoreStaysBounded mirrors the conflict-score bound: a pool
-// fed an unbounded stream of distinct conflict pairs holds a capped map.
-func TestLockHintScoreStaysBounded(t *testing.T) {
-	pool := New()
-	for i := uint64(0); i < 4*maxConflictEntries; i += 2 {
-		pool.ReportConflictPairs([][2]contract.Call{
-			{hotCall(i, 1, i), hotCall(i, 1, i+1)},
-		})
-	}
-	if got := pool.hintEntries(); got > maxConflictEntries {
-		t.Fatalf("hint map grew to %d entries, cap is %d", got, maxConflictEntries)
 	}
 }
 
@@ -216,9 +142,9 @@ func TestLockHintSpeedsUpHotCold(t *testing.T) {
 		blockSize = 40
 		blocks    = 4
 	)
-	makespan := make(map[Policy]uint64)
-	retries := make(map[Policy]int)
-	for _, policy := range []Policy{PolicyFIFO, PolicySpread, PolicyLockHint} {
+	makespan := make(map[txpool.Policy]uint64)
+	retries := make(map[txpool.Policy]int)
+	for _, policy := range []txpool.Policy{txpool.PolicyFIFO, txpool.PolicySpread, txpool.PolicyLockHint} {
 		wl, err := workload.Generate(workload.Params{
 			Kind: workload.KindHotCold, Transactions: 10 * blockSize,
 			ConflictPercent: 60, Seed: 11,
@@ -226,8 +152,8 @@ func TestLockHintSpeedsUpHotCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		pool := New()
-		pool.SubmitAll(wl.Calls)
+		pool := newPool()
+		pool.SubmitAllTrusted(wl.Calls)
 		eng := engine.MustNew(engine.KindSpeculative)
 		root, err := wl.World.StateRoot()
 		if err != nil {
@@ -262,32 +188,32 @@ func TestLockHintSpeedsUpHotCold(t *testing.T) {
 		}
 	}
 	t.Logf("HotCold makespan: fifo=%d spread=%d lockhint=%d (retries %d/%d/%d)",
-		makespan[PolicyFIFO], makespan[PolicySpread], makespan[PolicyLockHint],
-		retries[PolicyFIFO], retries[PolicySpread], retries[PolicyLockHint])
-	if makespan[PolicyLockHint] >= makespan[PolicyFIFO] {
+		makespan[txpool.PolicyFIFO], makespan[txpool.PolicySpread], makespan[txpool.PolicyLockHint],
+		retries[txpool.PolicyFIFO], retries[txpool.PolicySpread], retries[txpool.PolicyLockHint])
+	if makespan[txpool.PolicyLockHint] >= makespan[txpool.PolicyFIFO] {
 		t.Fatalf("lockhint makespan %d did not beat fifo %d",
-			makespan[PolicyLockHint], makespan[PolicyFIFO])
+			makespan[txpool.PolicyLockHint], makespan[txpool.PolicyFIFO])
 	}
-	if makespan[PolicyLockHint] > makespan[PolicySpread] {
+	if makespan[txpool.PolicyLockHint] > makespan[txpool.PolicySpread] {
 		t.Fatalf("lockhint makespan %d lost to spread %d",
-			makespan[PolicyLockHint], makespan[PolicySpread])
+			makespan[txpool.PolicyLockHint], makespan[txpool.PolicySpread])
 	}
 }
 
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want Policy
-	}{{"fifo", PolicyFIFO}, {"spread", PolicySpread}, {"lockhint", PolicyLockHint}} {
-		got, err := ParsePolicy(tc.in)
+		want txpool.Policy
+	}{{"fifo", txpool.PolicyFIFO}, {"spread", txpool.PolicySpread}, {"lockhint", txpool.PolicyLockHint}} {
+		got, err := txpool.ParsePolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParsePolicy("nope"); err == nil {
+	if _, err := txpool.ParsePolicy("nope"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := (&Pool{}).SelectBatch(PolicyFIFO, 4); !errors.Is(err, ErrEmpty) {
+	if _, err := newPool().SelectBatch(txpool.PolicyFIFO, 4); !errors.Is(err, txpool.ErrEmpty) {
 		t.Fatal("empty pool did not report ErrEmpty")
 	}
 }

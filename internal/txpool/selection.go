@@ -1,15 +1,13 @@
-// Selection core shared by the single-lock Pool and the sharded
-// mempool: the per-policy window scans and the conflict-feedback
-// scores they read. The Pool wraps these under its own mutex; the
-// sharded pool (internal/mempool) merges per-shard queues into one
-// window and calls the same scans, so both pools pick byte-identical
-// blocks from the same window under the same policy.
+// Selection core: the per-policy window scans and the conflict-feedback
+// scores they read. The sharded pool (internal/mempool) merges its
+// per-shard queues into one window and calls these scans under its own
+// locks.
 package txpool
 
 import "contractstm/internal/contract"
 
 // Entry is one selectable call plus its cached static lock-hints.
-// Both pool implementations embed it in their queue entries; the
+// The mempool embeds it in its queue entries; the
 // hint cache is filled lazily by the lock-hint scan (FIFO and spread
 // selections never pay for it) and stays valid for the call's
 // lifetime — hints are a pure function of the call.
@@ -98,8 +96,7 @@ func (s *Scores) AddConflictPairs(pairs [][2]contract.Call) {
 // according to the policy, returning the chosen indices in pick order:
 // policy-approved picks first (in scan order), then the FIFO backfill
 // that tops up an under-full block from the deferred remainder. The
-// window is the caller's candidate prefix — arrival-ordered for the
-// single-lock pool, (priority, arrival)-merged for the sharded pool —
+// window is the caller's candidate prefix in (priority, arrival) order,
 // and sc is the caller's feedback table. The lock-hint scan caches
 // derived hints on the entries, so the caller must pass pointers into
 // its real queue (and hold whatever lock guards it).

@@ -1,4 +1,8 @@
-package txpool
+package txpool_test
+
+// The selection policies run inside the sharded mempool, so these tests
+// drive them through mempool.Pool: FIFO order, spread deferral and
+// fallback, and the conflict-feedback loop against a real miner.
 
 import (
 	"errors"
@@ -7,11 +11,16 @@ import (
 
 	"contractstm/internal/chain"
 	"contractstm/internal/contract"
+	"contractstm/internal/mempool"
 	"contractstm/internal/miner"
 	"contractstm/internal/runtime"
+	"contractstm/internal/txpool"
 	"contractstm/internal/types"
 	"contractstm/internal/workload"
 )
+
+// newPool returns an empty mempool with the default shard count.
+func newPool() *mempool.Pool { return mempool.New(mempool.Config{}) }
 
 func call(sender, target uint64, fn string) contract.Call {
 	return contract.Call{
@@ -23,11 +32,11 @@ func call(sender, target uint64, fn string) contract.Call {
 }
 
 func TestFIFOPreservesOrder(t *testing.T) {
-	p := New()
+	p := newPool()
 	for i := uint64(0); i < 5; i++ {
-		p.Submit(call(i, 100, "f"))
+		p.SubmitTrusted(call(i, 100, "f"))
 	}
-	got, err := p.Select(PolicyFIFO, 3)
+	got, err := p.Select(txpool.PolicyFIFO, 3)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
@@ -45,19 +54,19 @@ func TestFIFOPreservesOrder(t *testing.T) {
 }
 
 func TestSelectEmpty(t *testing.T) {
-	p := New()
-	if _, err := p.Select(PolicyFIFO, 10); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
+	p := newPool()
+	if _, err := p.Select(txpool.PolicyFIFO, 10); !errors.Is(err, txpool.ErrEmpty) {
+		t.Fatalf("err = %v, want txpool.ErrEmpty", err)
 	}
-	if _, err := p.Select(PolicyFIFO, 0); err == nil {
+	if _, err := p.Select(txpool.PolicyFIFO, 0); err == nil {
 		t.Fatal("zero block size accepted")
 	}
 }
 
 func TestSelectFewerThanBlockSize(t *testing.T) {
-	p := New()
-	p.Submit(call(1, 100, "f"))
-	got, err := p.Select(PolicyFIFO, 10)
+	p := newPool()
+	p.SubmitTrusted(call(1, 100, "f"))
+	got, err := p.Select(txpool.PolicyFIFO, 10)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("got %d, %v", len(got), err)
 	}
@@ -67,15 +76,15 @@ func TestSelectFewerThanBlockSize(t *testing.T) {
 }
 
 func TestSpreadDefersCollidingSenders(t *testing.T) {
-	p := New()
+	p := newPool()
 	// Ten submissions from ONE sender plus five distinct senders.
 	for i := 0; i < 10; i++ {
-		p.Submit(call(7, 100, "vote"))
+		p.SubmitTrusted(call(7, 100, "vote"))
 	}
 	for i := uint64(20); i < 25; i++ {
-		p.Submit(call(i, 100, "vote"))
+		p.SubmitTrusted(call(i, 100, "vote"))
 	}
-	got, err := p.Select(PolicySpread, 6)
+	got, err := p.Select(txpool.PolicySpread, 6)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
@@ -99,11 +108,11 @@ func TestSpreadDefersCollidingSenders(t *testing.T) {
 }
 
 func TestSpreadFallsBackWhenAllCollide(t *testing.T) {
-	p := New()
+	p := newPool()
 	for i := 0; i < 8; i++ {
-		p.Submit(call(7, 100, "vote"))
+		p.SubmitTrusted(call(7, 100, "vote"))
 	}
-	got, err := p.Select(PolicySpread, 4)
+	got, err := p.Select(txpool.PolicySpread, 4)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
@@ -113,13 +122,13 @@ func TestSpreadFallsBackWhenAllCollide(t *testing.T) {
 }
 
 func TestSpreadDrainsEverythingAcrossBlocks(t *testing.T) {
-	p := New()
+	p := newPool()
 	for i := 0; i < 30; i++ {
-		p.Submit(call(uint64(i%3), 100, "f")) // 3 hot senders
+		p.SubmitTrusted(call(uint64(i%3), 100, "f")) // 3 hot senders
 	}
 	total := 0
 	for p.Len() > 0 {
-		got, err := p.Select(PolicySpread, 5)
+		got, err := p.Select(txpool.PolicySpread, 5)
 		if err != nil {
 			t.Fatalf("select: %v", err)
 		}
@@ -134,14 +143,14 @@ func TestSpreadDrainsEverythingAcrossBlocks(t *testing.T) {
 }
 
 func TestConcurrentSubmit(t *testing.T) {
-	p := New()
+	p := newPool()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p.Submit(call(uint64(g*1000+i), 100, "f"))
+				p.SubmitTrusted(call(uint64(g*1000+i), 100, "f"))
 			}
 		}(g)
 	}
@@ -168,10 +177,10 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 	}
 	parent := chain.GenesisHeader(types.HashString("txpool-test"))
 
-	mineBlocks := func(policy Policy, blocks int) (retries, mined int) {
+	mineBlocks := func(policy txpool.Policy, blocks int) (retries, mined int) {
 		wl.Reset()
-		pool := New()
-		pool.SubmitAll(wl.Calls)
+		pool := newPool()
+		pool.SubmitAllTrusted(wl.Calls)
 		for b := 0; b < blocks; b++ {
 			calls, err := pool.Select(policy, 40)
 			if err != nil {
@@ -195,8 +204,8 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 		return retries, mined
 	}
 
-	fifoRetries, fifoMined := mineBlocks(PolicyFIFO, 3)
-	spreadRetries, spreadMined := mineBlocks(PolicySpread, 3)
+	fifoRetries, fifoMined := mineBlocks(txpool.PolicyFIFO, 3)
+	spreadRetries, spreadMined := mineBlocks(txpool.PolicySpread, 3)
 	if fifoMined != 120 || spreadMined != 120 {
 		t.Fatalf("mined %d/%d, want 120 each", fifoMined, spreadMined)
 	}
@@ -207,7 +216,7 @@ func TestSpreadReducesMinerRetries(t *testing.T) {
 }
 
 func TestPolicyStrings(t *testing.T) {
-	if PolicyFIFO.String() == "" || PolicySpread.String() == "" || Policy(9).String() == "" {
+	if txpool.PolicyFIFO.String() == "" || txpool.PolicySpread.String() == "" || txpool.Policy(9).String() == "" {
 		t.Fatal("empty policy string")
 	}
 }
@@ -222,7 +231,7 @@ func TestSubmitAllAtomic(t *testing.T) {
 		batches    = 20
 		batchLen   = 16
 	)
-	pool := New()
+	pool := newPool()
 	var wg sync.WaitGroup
 	for s := 0; s < submitters; s++ {
 		wg.Add(1)
@@ -235,7 +244,7 @@ func TestSubmitAllAtomic(t *testing.T) {
 					// must come out adjacent in the drained stream.
 					batch[i] = call(uint64(s)<<32|uint64(b), uint64(i), "f")
 				}
-				pool.SubmitAll(batch)
+				pool.SubmitAllTrusted(batch)
 			}
 		}(s)
 	}
@@ -246,7 +255,7 @@ func TestSubmitAllAtomic(t *testing.T) {
 	}
 	var drained []contract.Call
 	for pool.Len() > 0 {
-		calls, err := pool.Select(PolicyFIFO, 64)
+		calls, err := pool.Select(txpool.PolicyFIFO, 64)
 		if err != nil {
 			t.Fatalf("Select: %v", err)
 		}
@@ -262,57 +271,24 @@ func TestSubmitAllAtomic(t *testing.T) {
 	}
 }
 
-// TestConflictScoreStaysBounded feeds sustained conflict reports with
-// ever-new (contract, function) pairs and checks the score map neither
-// grows past its cap nor keeps stale entries alive forever.
-func TestConflictScoreStaysBounded(t *testing.T) {
-	pool := New()
-	for round := 0; round < 200; round++ {
-		batch := make([]contract.Call, 50)
-		for i := range batch {
-			batch[i] = call(1, uint64(round*1000+i), "hot")
-		}
-		pool.ReportConflicts(batch)
-		if n := pool.conflictEntries(); n > maxConflictEntries {
-			t.Fatalf("round %d: %d conflict entries, cap %d", round, n, maxConflictEntries)
-		}
-	}
-	if n := pool.conflictEntries(); n == 0 || n > maxConflictEntries {
-		t.Fatalf("final conflict entries = %d, want (0, %d]", n, maxConflictEntries)
-	}
-	// Decay drains a score that stops being reported: a single entry
-	// reported once disappears after enough unrelated traffic.
-	fresh := New()
-	fresh.ReportConflicts([]contract.Call{call(7, 7, "once")})
-	for i := 0; i < conflictDecayEvery; i++ {
-		fresh.ReportConflicts([]contract.Call{call(8, 8, "noise")})
-	}
-	fresh.mu.Lock()
-	_, alive := fresh.conflictScore[funcHint{contract: types.AddressFromUint64(7), function: "once"}]
-	fresh.mu.Unlock()
-	if alive {
-		t.Fatal("stale conflict score survived decay")
-	}
-}
-
 // TestRequeuePreservesOrderAtFront checks a failed mining attempt's calls
 // go back to the queue head in their original relative order, ahead of
 // anything submitted meanwhile.
 func TestRequeuePreservesOrderAtFront(t *testing.T) {
-	pool := New()
+	pool := newPool()
 	for i := uint64(0); i < 6; i++ {
-		pool.Submit(call(i, 1, "f"))
+		pool.SubmitTrusted(call(i, 1, "f"))
 	}
-	selected, err := pool.Select(PolicyFIFO, 4)
+	selected, err := pool.SelectBatch(txpool.PolicyFIFO, 4)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	pool.Submit(call(100, 1, "f")) // arrives while the block executes
-	pool.Requeue(selected)         // ...and the mining attempt fails
+	pool.SubmitTrusted(call(100, 1, "f")) // arrives while the block executes
+	pool.RequeueBatch(selected)           // ...and the mining attempt fails
 	if pool.Len() != 7 {
 		t.Fatalf("pool len = %d, want 7", pool.Len())
 	}
-	drained, err := pool.Select(PolicyFIFO, 7)
+	drained, err := pool.Select(txpool.PolicyFIFO, 7)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -322,7 +298,7 @@ func TestRequeuePreservesOrderAtFront(t *testing.T) {
 			t.Fatalf("position %d: got %s, want sender %d", i, drained[i].Sender, want)
 		}
 	}
-	pool.Requeue(nil) // no-op
+	pool.RequeueBatch(mempool.Selection{}) // no-op
 	if pool.Len() != 0 {
 		t.Fatalf("empty requeue changed len to %d", pool.Len())
 	}
